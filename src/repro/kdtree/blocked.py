@@ -82,12 +82,15 @@ _MANIFEST_NAME = "manifest.json"
 #: is not.
 _PRUNE_SLACK = 1e-12
 
-#: Estimated resident bytes per point of the engine's lazily derived
-#: selection arrays (``points_c`` f64x3, ``point_sq_c`` f64,
-#: ``bucket_xyz32`` f32x3, ``bucket_sq32`` f32).  Unlike the mapped
-#: structural arrays these are always heap-allocated on first query, so
-#: the block cache budgets for them explicitly.
-_DERIVED_BYTES_PER_POINT = 48
+#: Resident bytes of the engine's lazily derived bucket store
+#: (``FlatKdTree.store``): per point, the bucket-ordered raw and
+#: bucket-local coordinates (f64x3 each) and the local squared norm
+#: (f64); per bucket, its centre (f64x3) and largest squared radius
+#: (f64).  Unlike the mapped structural arrays the store is always
+#: heap-allocated on first query, so the block cache budgets for it
+#: explicitly.
+_DERIVED_BYTES_PER_POINT = 56
+_DERIVED_BYTES_PER_BUCKET = 32
 
 
 # ----------------------------------------------------------------------
@@ -504,9 +507,14 @@ def _stage_blocks(
 
 
 def _tree_resident_nbytes(arrays: dict[str, np.ndarray], n_points: int) -> int:
-    """Structural bytes plus the engine's derived selection arrays."""
+    """Structural bytes plus the engine's derived bucket store."""
     structural = sum(a.nbytes for a in arrays.values())
-    return int(structural + _DERIVED_BYTES_PER_POINT * n_points)
+    n_buckets = arrays["bucket_offsets"].shape[0] - 1
+    return int(
+        structural
+        + _DERIVED_BYTES_PER_POINT * n_points
+        + _DERIVED_BYTES_PER_BUCKET * n_buckets
+    )
 
 
 def _build_one_block(

@@ -25,24 +25,23 @@ computation the same way the accelerator does:
   vectorized merge at a time.
 
 Candidate *selection* inside a bucket uses the classic
-``|q|^2 - 2 q.c + |c|^2`` BLAS expansion for speed (in float32, keeping
-``SELECT_PAD`` extra candidates to absorb rounding at the selection
-boundary, with an exact float64 re-selection for the rare rows where
-more candidates tie at the boundary than the pad can hold; the
-per-row-constant ``|q|^2`` term is dropped where only the ranking
-matters).  The expansion is evaluated on
-*centered* coordinates — the cloud centroid is subtracted from both the
-reference points and the queries — because on raw coordinates its
-cancellation error grows with ``|q|^2``: a lidar frame in UTM-style
-coordinates far from the origin would swamp the true inter-point
-distances and select the wrong candidates entirely.  Centering makes
-the error scale with the cloud *extent* instead, which the pad absorbs.
-The final top-k and its reported distances are always decided on
-float64 distances recomputed from the raw coordinates with the same
-``sqrt(((q - c)^2).sum())`` kernel the per-query paths use, so results
-are element-for-element identical to the loop implementations (which
-remain available — and tested against — as ``knn_approx_loop`` /
-``knn_exact(engine=False)``).
+``|q|^2 - 2 q.c + |c|^2`` BLAS expansion in float64, evaluated in the
+frame of the bucket being scanned: :attr:`FlatKdTree.store` keeps every
+bucket's points relative to that bucket's own centre, and the queries
+are shifted into the same frame.  The expansion's cancellation error
+grows with the magnitude of the coordinates it sees, so in the
+bucket's frame it scales with the bucket's extent (centimetres to
+metres for a lidar leaf), not with the cloud's extent or its distance
+from the origin.  Each row keeps ``t = k + SELECT_PAD`` candidates, and
+the ``(t+1)``-th score certifies the cut: only rows where it lies
+within the rounding margin of the ``t``-th score (exact duplicates, or
+a bucket stretched by a far outlier) are re-selected on exact float64
+distances.  The final top-k and its reported distances are always
+decided on float64 distances recomputed from the raw coordinates with
+the same ``sqrt(((q - c)^2).sum())`` kernel the per-query paths use, so
+results are element-for-element identical to the loop implementations
+(which remain available — and tested against — as ``knn_approx_loop``
+/ ``knn_exact(engine=False)``).
 """
 
 from __future__ import annotations
@@ -58,24 +57,22 @@ class FlatKdTree:
 
     Node arrays are indexed by node id (``nodes[i].index == i`` in the
     source tree); bucket membership is stored in CSR form
-    (``bucket_offsets`` / ``bucket_members``).  The selection-stage
-    arrays (``points_c`` / ``point_sq_c`` / ``bucket_xyz32`` /
-    ``bucket_sq32``) hold coordinates with ``centroid`` subtracted, so
-    the BLAS distance expansion stays cancellation-safe for clouds far
-    from the origin; ``points`` keeps the raw coordinates the exact
-    re-derivation kernel uses.  They are derived lazily on first query
-    — construction (``from_tree`` / ``from_arrays``) is purely
+    (``bucket_offsets`` / ``bucket_members``).  ``points`` keeps the raw
+    coordinates the exact re-derivation kernel uses; :attr:`store` is
+    the bucket-ordered, bucket-local copy the selection stage scans.
+    It is derived lazily on first query and never serialized —
+    construction (``from_tree`` / ``from_arrays``) is purely
     structural, so the build pipeline never pays for query-stage
     artifacts it may not use.
     """
 
     ROOT = 0
 
-    #: Extra candidates kept by the float32 selection stage.  The final
+    #: Extra candidates kept per row by the selection stage.  The final
     #: top-k is decided on exact float64 distances, so the pad only has
-    #: to absorb float32 rounding at the selection boundary; rows where
-    #: more candidates tie at that boundary than the pad can hold are
-    #: re-selected exactly in float64 (see ``_grouped_topk``).
+    #: to absorb rounding at the selection boundary; rows whose
+    #: boundary the rounding margin cannot certify are re-selected
+    #: exactly (see ``_grouped_topk``).
     SELECT_PAD = 4
 
     def __init__(
@@ -100,51 +97,15 @@ class FlatKdTree:
         self.bucket_id = bucket_id
         self.bucket_offsets = bucket_offsets
         self.bucket_members = bucket_members
-        self._centroid: np.ndarray | None = None
-        self._points_c: np.ndarray | None = None
-        self._point_sq_c: np.ndarray | None = None
-        self._bucket_xyz32: np.ndarray | None = None
-        self._bucket_sq32: np.ndarray | None = None
+        self._store: BucketStore | None = None
         self._levels: "_LevelPlan | None | bool" = False  # False = not built yet
 
-    # -- lazy selection-stage arrays -----------------------------------
     @property
-    def centroid(self) -> np.ndarray:
-        if self._centroid is None:
-            self._centroid = (
-                self.points.mean(axis=0)
-                if self.points.shape[0]
-                else np.zeros(self.points.shape[1])
-            )
-        return self._centroid
-
-    @property
-    def points_c(self) -> np.ndarray:
-        if self._points_c is None:
-            self._points_c = self.points - self.centroid
-        return self._points_c
-
-    @property
-    def point_sq_c(self) -> np.ndarray:
-        if self._point_sq_c is None:
-            pc = self.points_c
-            self._point_sq_c = (pc * pc).sum(axis=1)
-        return self._point_sq_c
-
-    @property
-    def bucket_xyz32(self) -> np.ndarray:
-        if self._bucket_xyz32 is None:
-            self._bucket_xyz32 = np.ascontiguousarray(
-                self.points_c[self.bucket_members], dtype=np.float32
-            )
-        return self._bucket_xyz32
-
-    @property
-    def bucket_sq32(self) -> np.ndarray:
-        if self._bucket_sq32 is None:
-            b32 = self.bucket_xyz32
-            self._bucket_sq32 = (b32 * b32).sum(axis=1)
-        return self._bucket_sq32
+    def store(self) -> "BucketStore":
+        """The bucket-local point store the kernels scan (built on first use)."""
+        if self._store is None:
+            self._store = BucketStore.from_flat(self)
+        return self._store
 
     @classmethod
     def from_arrays(
@@ -397,47 +358,160 @@ class _LevelPlan:
         return self.leaf_node_of_slot[cur]
 
 
+#: Rounding margin of a bucket-frame squared distance, in float64 ulps
+#: of the scale ``|q_local|^2 + radius_sq`` (see
+#: :meth:`BucketStore.sq_distances`).  The errors it covers total a few
+#: tens of ulps; an over-wide margin only sends extra rows to the exact
+#: re-selection.
+_MARGIN_ULPS = 64.0
+_EPS = float(np.finfo(np.float64).eps)
+
+
+class BucketStore:
+    """Bucket-ordered, bucket-local copy of a tree's reference points.
+
+    Row ``j`` of every per-point array is member ``j`` of the CSR bucket
+    arrays, so bucket ``b`` is the contiguous slice
+    ``offsets[b]:offsets[b + 1]`` — the software mirror of the hardware
+    streaming one bucket as one block.  ``points`` holds the raw
+    coordinates, ``local`` the same points relative to their bucket's
+    ``center`` (the midpoint of its bounding box), ``sq`` their squared
+    norms, and ``radius_sq`` each bucket's largest squared norm, which
+    scales the rounding of any distance evaluated in that frame.
+    """
+
+    __slots__ = ("offsets", "points", "center", "local", "sq", "radius_sq")
+
+    def __init__(self, offsets, points, center, local, sq, radius_sq):
+        self.offsets = offsets
+        self.points = points
+        self.center = center
+        self.local = local
+        self.sq = sq
+        self.radius_sq = radius_sq
+
+    @classmethod
+    def from_flat(cls, flat: FlatKdTree) -> "BucketStore":
+        offsets = flat.bucket_offsets
+        sizes = np.diff(offsets)
+        points = flat.points[flat.bucket_members]
+        center = np.zeros((sizes.size, 3))
+        radius_sq = np.zeros(sizes.size)
+        # reduceat over the non-empty buckets' starts: an empty bucket
+        # owns no rows, so each segment is exactly one bucket.
+        full = sizes > 0
+        starts = offsets[:-1][full]
+        if starts.size:
+            lo = np.minimum.reduceat(points, starts, axis=0)
+            hi = np.maximum.reduceat(points, starts, axis=0)
+            center[full] = 0.5 * (lo + hi)
+        local = points - np.repeat(center, sizes, axis=0)
+        sq = np.einsum("ij,ij->i", local, local)
+        if starts.size:
+            radius_sq[full] = np.maximum.reduceat(sq, starts)
+        return cls(offsets, points, center, local, sq, radius_sq)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the store allocates (``offsets`` is the tree's own array)."""
+        return sum(
+            a.nbytes
+            for a in (self.points, self.center, self.local, self.sq, self.radius_sq)
+        )
+
+    def sq_distances(self, bid: int, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Squared distances from each query to bucket ``bid``'s points.
+
+        Evaluated as ``|q|^2 - 2 q.c + |c|^2`` (one BLAS matmul) in the
+        bucket's frame.  Returns ``(d2, margin)``: the ``(Q, B)`` matrix
+        and, per query, the gap two of its values must exceed for their
+        order to hold under rounding — of the expansion, of the shift
+        into the frame, and of the exact kernel the answers are reported
+        with — all of which scale with ``|q_local|^2 + radius_sq[bid]``.
+        """
+        lo, hi = self.offsets[bid], self.offsets[bid + 1]
+        ql = q - self.center[bid]
+        qsq = np.einsum("ij,ij->i", ql, ql)
+        d2 = (-2.0 * ql) @ self.local[lo:hi].T
+        d2 += self.sq[lo:hi]
+        d2 += qsq[:, None]
+        return d2, _MARGIN_ULPS * _EPS * (qsq + self.radius_sq[bid])
+
+
 # ----------------------------------------------------------------------
 # Vectorized bucket kernels
 # ----------------------------------------------------------------------
-def _squared_distances(flat: FlatKdTree, qg: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Selection metric: ``|q - c|^2`` via the BLAS expansion, clipped at 0.
+def _bucket_runs(bucket_ids: np.ndarray):
+    """Group rows by bucket: ``(order, [(bucket, start, stop), ...])``."""
+    order = np.argsort(bucket_ids, kind="stable")
+    sorted_b = bucket_ids[order]
+    starts = np.flatnonzero(np.r_[True, sorted_b[1:] != sorted_b[:-1]])
+    stops = np.r_[starts[1:], sorted_b.size]
+    return order, zip(sorted_b[starts].tolist(), starts.tolist(), stops.tolist())
 
-    Evaluated on centered coordinates so the expansion's cancellation
-    error scales with the cloud extent, not the distance from the
-    origin.
+
+def _cut(score: np.ndarray, margin: np.ndarray, t: int):
+    """Each row's ``t`` smallest scores: ``(columns, scores, risky rows)``.
+
+    A row is certified when its ``(t+1)``-th score exceeds its ``t``-th
+    by more than ``margin`` plus the rounding of the scores themselves
+    (relative to the ``(t+1)``-th score's magnitude): rounding then
+    cannot have ranked a true top-``t`` candidate below the cut.  The
+    rows left are *risky*; rows whose ``(t+1)``-th score is ``inf``
+    (padding) are always certified.
     """
-    qc = qg - flat.centroid
-    d2 = (
-        (qc * qc).sum(axis=1)[:, None]
-        - 2.0 * qc @ flat.points_c[cand].T
-        + flat.point_sq_c[cand][None, :]
+    part = np.argpartition(score, t, axis=1)
+    rows = np.arange(score.shape[0])[:, None]
+    top = part[:, :t]
+    kept = score[rows, top]
+    beyond = score[rows[:, 0], part[:, t]]
+    slack = margin + _MARGIN_ULPS * _EPS * np.abs(beyond)
+    risky = np.flatnonzero(
+        (beyond <= kept.max(axis=1) + slack) & np.isfinite(beyond)
     )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    return top, kept, risky
+
+
+def _reselect(
+    qg: np.ndarray, pts: np.ndarray, ids: np.ndarray, t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact top-``t`` columns of each row of candidates.
+
+    ``pts`` are the ``(R, C, 3)`` coordinates of the ``(R, C)`` candidate
+    ``ids`` (``-1`` padded).  Ranks on the loop paths' own float64
+    ``((q - c)^2).sum()``, ties by ascending id, and returns the columns
+    with their squared distances, both ``(R, t)``.  The fallback for
+    rows :func:`_cut` cannot certify.
+    """
+    from repro.kdtree.search import PAD_INDEX
+
+    diff = qg[:, None, :] - pts
+    d2 = np.where(ids != PAD_INDEX, (diff * diff).sum(axis=2), np.inf)
+    top = np.lexsort((ids, d2))[:, :t]
+    return top, np.take_along_axis(d2, top, axis=1)
 
 
 def _exact_rows(
-    flat: FlatKdTree, qg: np.ndarray, sel_idx: np.ndarray
+    qg: np.ndarray, pts: np.ndarray, ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re-derive the reported distances of already-selected candidates
     with the loop paths' exact kernel, and sort each row by them.
 
-    ``sel_idx`` is ``(G, t)`` global point indices (``-1`` padding).
-    Returns ``(indices, distances)`` rows sorted ascending, ``-1`` /
-    ``inf`` padded — element-for-element what the per-query searches
-    produce for the same candidate sets.
+    ``pts`` are the ``(G, t, 3)`` coordinates of the ``(G, t)``
+    candidate ``ids`` (``-1`` padding).  Returns ``(indices,
+    distances)`` rows sorted ascending, ``-1`` / ``inf`` padded —
+    element-for-element what the per-query searches produce for the
+    same candidate sets.
     """
     from repro.kdtree.search import PAD_INDEX
 
-    valid = sel_idx != PAD_INDEX
-    gathered = flat.points[np.where(valid, sel_idx, 0)]
-    diff = qg[:, None, :] - gathered
+    valid = ids != PAD_INDEX
+    diff = qg[:, None, :] - pts
     dists = np.sqrt((diff * diff).sum(axis=2))
     dists[~valid] = np.inf
     order = np.argsort(dists, axis=1, kind="stable")
-    rows = np.arange(sel_idx.shape[0])[:, None]
-    idx = np.where(valid, sel_idx, PAD_INDEX)[rows, order]
+    rows = np.arange(ids.shape[0])[:, None]
+    idx = ids[rows, order]
     dst = dists[rows, order]
     idx[np.isinf(dst)] = PAD_INDEX
     return idx, dst
@@ -448,13 +522,13 @@ def _grouped_topk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k over each query's bucket, one vectorized kernel per group.
 
-    Queries are grouped by bucket (argsort), candidates are *selected*
-    per group with a float32 BLAS metric over the CSR-aligned,
-    centroid-centered bucket blocks (keeping ``SELECT_PAD`` extras to
-    absorb float32 rounding, with an exact float64 re-selection for
-    rows where boundary ties overflow the pad), and the reported top-k
-    is decided on exactly recomputed float64 distances.  Returns
-    ``(indices, distances)`` of shape ``(M, k)``.
+    Queries are grouped by bucket (argsort) and each group is answered
+    from one contiguous :class:`BucketStore` slice: it selects its
+    ``t = k + SELECT_PAD`` candidates on float64 squared distances in
+    the bucket's own frame, re-selects exactly the rows whose cut the
+    rounding margin cannot certify, and decides the reported top-k on
+    exactly recomputed float64 distances.  Returns ``(indices,
+    distances)`` of shape ``(M, k)``.
     """
     from repro.kdtree.search import PAD_INDEX
 
@@ -464,67 +538,36 @@ def _grouped_topk(
     if m == 0:
         return indices, distances
 
-    q32 = (q - flat.centroid).astype(np.float32)
+    obs = get_registry()
+    store = flat.store
     t = k + FlatKdTree.SELECT_PAD
-
-    order = np.argsort(bucket_ids, kind="stable")
-    sorted_b = bucket_ids[order]
-    run_starts = np.flatnonzero(np.r_[True, sorted_b[1:] != sorted_b[:-1]])
-    run_stops = np.r_[run_starts[1:], sorted_b.size]
-    get_registry().counter("engine.leaf_groups").inc(int(run_starts.size))
-
-    # Per-group selection fills one (M, t) candidate table; the exact
-    # re-derivation then runs as a single batched kernel over all rows
-    # rather than once per group.
-    sel = np.full((m, t), PAD_INDEX, dtype=np.int64)
+    order, runs = _bucket_runs(bucket_ids)
     offsets = flat.bucket_offsets
-    for start, stop in zip(run_starts, run_stops):
-        qids = order[start:stop]
-        bid = int(sorted_b[start])
+    groups = reselected = 0
+    for bid, start, stop in runs:
+        groups += 1
         lo, hi = offsets[bid], offsets[bid + 1]
-        b = hi - lo
-        if b == 0:
+        if hi == lo:
             continue
+        qids = order[start:stop]
+        qg = q[qids]
         cand = flat.bucket_members[lo:hi]
-        if b > t:
-            # |q|^2 is constant per row, so it cannot change which
-            # candidates rank in the top-t; rank on |c|^2 - 2 q.c only.
-            d2 = (
-                flat.bucket_sq32[lo:hi]
-                - 2.0 * (q32[qids] @ flat.bucket_xyz32[lo:hi].T)
-            )
-            part = np.argpartition(d2, t - 1, axis=1)[:, :t]
-            sel[qids] = cand[part]
-            # SELECT_PAD absorbs float32 rounding at the selection
-            # boundary only while fewer than t candidates sit within
-            # rounding distance of it.  Duplicate-heavy buckets (points
-            # identical up to float32 resolution, e.g. an unsplittable
-            # overflowed leaf) can tie tens of candidates there, and
-            # argpartition may then drop a true neighbor whose margin
-            # is representable in float64 but not float32.  Re-select
-            # those rows on exact difference-first float64 distances,
-            # id-ascending among ties so `_exact_rows`'s stable sort
-            # reports the canonical ids.
-            kth = np.max(np.take_along_axis(d2, part, axis=1), axis=1)
-            scale = (q32[qids] ** 2).sum(axis=1) + np.abs(
-                flat.bucket_sq32[lo:hi]
-            ).max()
-            margin = 16.0 * np.finfo(np.float32).eps * scale
-            risky = np.flatnonzero(
-                (d2 <= (kth + margin)[:, None]).sum(axis=1) > t
-            )
+        pts = store.points[lo:hi]
+        if hi - lo > t:
+            top, _, risky = _cut(*store.sq_distances(bid, qg), t)
             if risky.size:
-                ido = np.argsort(cand, kind="stable")
-                cpts = flat.points[cand[ido]]
-                diff = q[qids[risky], None, :] - cpts[None, :, :]
-                d64 = np.einsum("mbd,mbd->mb", diff, diff)
-                o = np.argsort(d64, axis=1, kind="stable")[:, :t]
-                sel[qids[risky]] = cand[ido][o]
+                reselected += risky.size
+                ids = np.broadcast_to(cand, (risky.size, cand.size))
+                top[risky] = _reselect(qg[risky], pts[None], ids, t)[0]
         else:
-            sel[qids, :b] = cand
-    idx, dst = _exact_rows(flat, q, sel)
-    indices[:] = idx[:, :k]
-    distances[:] = dst[:, :k]
+            top = np.broadcast_to(np.arange(hi - lo), (qids.size, hi - lo))
+        idx, dst = _exact_rows(qg, pts[top], cand[top])
+        w = min(k, idx.shape[1])
+        indices[qids, :w] = idx[:, :w]
+        distances[qids, :w] = dst[:, :w]
+    obs.counter("engine.leaf_groups").inc(groups)
+    if reselected:
+        obs.counter("engine.select.reselected").inc(reselected)
     return indices, distances
 
 
@@ -537,7 +580,7 @@ def knn_approx_batched(flat: FlatKdTree, queries: np.ndarray, k: int):
     obs = get_registry()
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     with obs.timer("engine.approx"):
-        leaf_ids = flat.descend(q)
+        leaf_ids = flat.descend_fast(q)
         indices, distances = _grouped_topk(flat, q, flat.bucket_id[leaf_ids], k)
     if obs.enabled:
         obs.counter("engine.approx.calls").inc()
@@ -693,13 +736,19 @@ def _exact_batched_impl(
         return indices, distances, visits
 
     # Merge the visited buckets into each query's running candidate
-    # set, one vectorized merge per distinct bucket.  Selection runs on
-    # the centered BLAS metric and, as in the single-bucket pass, keeps
-    # ``SELECT_PAD`` extra candidates so rounding at the selection
-    # boundary (the running set squares previously sqrt'd distances,
-    # new candidates come from the expansion) cannot drop a true
-    # neighbor; the touched rows are re-derived exactly — and cut back
-    # to k — at the end.
+    # set, one vectorized merge per distinct bucket.  Each visited
+    # bucket is scored in its own frame from one contiguous store
+    # slice, and the merged row keeps ``SELECT_PAD`` extra candidates
+    # under the same certified cut as the single-bucket pass.  A
+    # certified cut makes the kept *set* right, not the kept values:
+    # they carry their frame's rounding into later merges, where a
+    # finer frame's margin alone would not cover them (a bucket
+    # stretched by a far outlier next to micron-spaced neighbors).  So
+    # ``run_err`` keeps, per row, the largest margin behind its running
+    # values and widens every later cut by it; an exact re-selection
+    # resets it.  The touched rows are re-derived exactly — and cut
+    # back to k — at the end.
+    store = flat.store
     t = k + FlatKdTree.SELECT_PAD
     row_of = np.full(q.shape[0], -1, dtype=np.int64)
     row_of[unsettled] = np.arange(unsettled.size)
@@ -714,28 +763,41 @@ def _exact_batched_impl(
         ],
         axis=1,
     )
-    order = np.argsort(vb, kind="stable")
-    sorted_b = vb[order]
-    run_starts = np.flatnonzero(np.r_[True, sorted_b[1:] != sorted_b[:-1]])
-    run_stops = np.r_[run_starts[1:], sorted_b.size]
-    for start, stop in zip(run_starts, run_stops):
+    run_err = np.zeros(unsettled.size)
+    order, runs = _bucket_runs(vb)
+    offsets = flat.bucket_offsets
+    reselected = 0
+    for bid, start, stop in runs:
         qids = vq[order[start:stop]]
-        cand = flat.bucket(int(sorted_b[start]))
         visits[qids] += 1
-        if cand.size == 0:
+        lo, hi = offsets[bid], offsets[bid + 1]
+        if hi == lo:
             continue
         rows = row_of[qids]
-        d2 = _squared_distances(flat, q[qids], cand)
+        d2, margin = store.sq_distances(bid, q[qids])
         cat_d2 = np.concatenate([run_d2[rows], d2], axis=1)
-        cat_idx = np.concatenate(
-            [run_idx[rows], np.broadcast_to(cand, (qids.size, cand.size))], axis=1
-        )
-        part = np.argpartition(cat_d2, t - 1, axis=1)[:, :t]
-        run_d2[rows] = np.take_along_axis(cat_d2, part, axis=1)
-        run_idx[rows] = np.take_along_axis(cat_idx, part, axis=1)
+        cat_idx = np.empty(cat_d2.shape, dtype=np.int64)
+        cat_idx[:, :t] = run_idx[rows]
+        cat_idx[:, t:] = flat.bucket_members[lo:hi]
+        top, kept, risky = _cut(cat_d2, margin + run_err[rows], t)
+        run_d2[rows] = kept
+        run_idx[rows] = cat_idx[np.arange(qids.size)[:, None], top]
+        run_err[rows] = np.maximum(run_err[rows], margin)
+        if risky.size:
+            reselected += risky.size
+            ids = cat_idx[risky]
+            pts = flat.points[np.where(ids != PAD_INDEX, ids, 0)]
+            top, d2_top = _reselect(q[qids[risky]], pts, ids, t)
+            run_idx[rows[risky]] = np.take_along_axis(ids, top, axis=1)
+            run_d2[rows[risky]] = d2_top
+            run_err[rows[risky]] = 0.0
+    if reselected:
+        obs.counter("engine.select.reselected").inc(reselected)
 
     touched = np.unique(vq)
-    idx, dst = _exact_rows(flat, q[touched], run_idx[row_of[touched]])
+    ids = run_idx[row_of[touched]]
+    pts = flat.points[np.where(ids != PAD_INDEX, ids, 0)]
+    idx, dst = _exact_rows(q[touched], pts, ids)
     indices[touched] = idx[:, :k]
     distances[touched] = dst[:, :k]
     # Rows the radius test missed but backtracking never improved keep

@@ -12,17 +12,18 @@ kNN engine already has:
   radius (``|q[dim] - t| <= r`` — the same pruning rule as the
   per-query :func:`repro.kdtree.search.radius_search`);
 * per visited bucket, the whole (queries x members) visit matrix is
-  **pre-filtered** with the centered BLAS distance expansion
-  (cancellation-safe far from the origin, see
-  :mod:`repro.kdtree.engine`) under a conservative margin that can
-  only ever *add* candidates — the bucket's points are sliced from
-  bucket-ordered copies, so the matmul reads contiguous memory and
-  the per-bucket working set stays cache-resident;
+  **pre-filtered** with the float64 BLAS distance expansion evaluated
+  in the bucket's own frame (:attr:`FlatKdTree.store
+  <repro.kdtree.engine.FlatKdTree.store>`, see
+  :mod:`repro.kdtree.engine`), under a margin scaled by the bucket's
+  extent that can only ever *add* candidates — each bucket is one
+  contiguous slice of the cached store, so the matmul reads contiguous
+  memory and nothing is gathered from the whole cloud per call;
 * the survivors' distances are **re-derived exactly** with the same
   float64 ``sqrt(((q - c)^2).sum())`` kernel every per-query path
-  uses, gathering from the bucket-local arrays, and the inclusion
-  test ``dist <= r`` runs on those exact values — so the reported
-  pairs and distances are bit-identical to the reference loop.
+  uses, on the store's raw bucket-ordered coordinates, and the
+  inclusion test ``dist <= r`` runs on those exact values — so the
+  reported pairs and distances are bit-identical to the reference loop.
 
 Results come back as a CSR :class:`~repro.query.result.RaggedResult`
 with rows in canonical (distance, index) order and an optional
@@ -34,16 +35,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry import PointCloud
-from repro.kdtree.engine import FlatKdTree
+from repro.kdtree.engine import FlatKdTree, _bucket_runs
 from repro.obs import get_registry
 from repro.query.result import RaggedResult, build_ragged
-
-#: Safety factor on the BLAS prefilter boundary, in units of the
-#: expansion's magnitude scale.  The float64 expansion's cancellation
-#: error on centered coordinates is a few ulps of ``|q_c|^2 + |c_c|^2``;
-#: 64 ulps of that scale is comfortably conservative, and an over-wide
-#: margin only sends extra candidates to the exact re-derivation.
-_PREFILTER_ULPS = 64.0
 
 
 def _as_query_array(queries) -> np.ndarray:
@@ -130,44 +124,26 @@ def radius_batched(
         pair_d: list[np.ndarray] = []
         if vq.size:
             r2 = radius * radius
-            eps = np.finfo(np.float64).eps
+            store = flat.store
             offsets = flat.bucket_offsets
             members = flat.bucket_members
-            # Bucket-ordered copies: one 100%-hit gather each, so every
-            # per-bucket slice below is a contiguous view and the exact
-            # re-derivation gathers from cache-resident locals instead
-            # of random rows of the full cloud.
-            pts = flat.points[members]
-            pts_c = flat.points_c[members]
-            psq_all = flat.point_sq_c[members]
-            order = np.argsort(vb, kind="stable")
-            sorted_b = vb[order]
-            run_starts = np.flatnonzero(
-                np.r_[True, sorted_b[1:] != sorted_b[:-1]]
-            )
-            run_stops = np.r_[run_starts[1:], sorted_b.size]
-            for start, stop in zip(run_starts, run_stops):
+            order, runs = _bucket_runs(vb)
+            for bid, start, stop in runs:
                 qids = vq[order[start:stop]]
-                bid = int(sorted_b[start])
-                lo, hi = int(offsets[bid]), int(offsets[bid + 1])
+                lo, hi = offsets[bid], offsets[bid + 1]
                 if hi == lo:
                     continue
                 qb = q[qids]
-                # Centered BLAS prefilter: cheap matmul metric over the
-                # whole (queries x members) visit matrix, with a margin
-                # so rounding can only let extra pairs through.
-                qc = qb - flat.centroid
-                qsq = (qc * qc).sum(axis=1)
-                pc = pts_c[lo:hi]
-                psq = psq_all[lo:hi]
-                d2 = qsq[:, None] - 2.0 * (qc @ pc.T) + psq[None, :]
-                scale = qsq[:, None] + max(float(psq.max()), 0.0)
-                gi, bj = np.nonzero(d2 <= r2 + _PREFILTER_ULPS * eps * scale)
+                # Bucket-frame BLAS prefilter: cheap matmul metric over
+                # the whole (queries x members) visit matrix, with a
+                # margin so rounding can only let extra pairs through.
+                d2, margin = store.sq_distances(bid, qb)
+                gi, bj = np.nonzero(d2 <= (r2 + margin)[:, None])
                 if gi.size == 0:
                     continue
                 # Exact re-derivation with the per-query paths' kernel;
                 # the inclusion decision happens on these values only.
-                diff = qb[gi] - pts[lo:hi][bj]
+                diff = qb[gi] - store.points[lo:hi][bj]
                 dist = np.sqrt((diff * diff).sum(axis=1))
                 inside = dist <= radius
                 pair_q.append(qids[gi[inside]])

@@ -15,12 +15,14 @@ import pytest
 from repro.kdtree import (
     BlockedBuildConfig,
     BlockedIndex,
+    KdTreeConfig,
     build_blocked,
     build_flat,
     knn_exact_batched,
 )
-from repro.kdtree.blocked import PARTITIONERS, _merge_rows
+from repro.kdtree.blocked import PARTITIONERS, _merge_rows, _tree_resident_nbytes
 from repro.kdtree.search import PAD_INDEX
+from repro.kdtree.snapshot import Snapshot
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +237,15 @@ class TestResidency:
             base = base.base
             seen.append(base)
         assert any(isinstance(b, (np.memmap, mmap.mmap)) for b in seen)
+
+    @pytest.mark.parametrize("capacity", [1, 8, 256])
+    def test_budget_covers_derived_store(self, cloud, capacity):
+        xyz, _ = cloud
+        flat, _ = build_flat(xyz, KdTreeConfig(bucket_capacity=capacity))
+        snap = Snapshot.from_flat(flat)
+        structural = sum(a.nbytes for a in snap.arrays.values())
+        budget = _tree_resident_nbytes(snap.arrays, snap.n_points) - structural
+        assert budget >= flat.store.nbytes
 
     def test_missing_manifest_guidance(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="build_blocked"):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from repro.baselines import knn_bruteforce
 from repro.datasets import lidar_frame_pair
 from repro.kdtree import (
     FlatKdTree,
@@ -92,11 +93,11 @@ class TestApproxIdentity:
 class TestOffsetCloudIdentity:
     """Regression: frames far from the origin (UTM-style coordinates).
 
-    The BLAS selection expansion's cancellation error grows with
-    ``|q|^2`` on raw coordinates, which used to corrupt candidate
-    selection for off-origin clouds; the engine now centers the
-    selection stage on the cloud centroid, so the identity contract
-    must hold at any offset.
+    The BLAS selection expansion's cancellation error grows with the
+    magnitude of the coordinates it sees, which on raw coordinates used
+    to corrupt candidate selection for off-origin clouds; the engine
+    now evaluates it in each bucket's own frame, so the identity
+    contract must hold at any offset.
     """
 
     @pytest.fixture(scope="class", params=[100.0, 1_000.0, 1e5])
@@ -205,11 +206,12 @@ class TestVisitBudget:
 class TestSelectionTieOverflow:
     """Boundary ties wider than SELECT_PAD must not drop a true neighbor.
 
-    An unsplittable bucket of duplicates collapses to one float32
-    selection score; with more tied candidates than the pad holds,
-    argpartition used to pick an arbitrary subset and could exclude a
-    strictly closer point whose margin (here 2^-9 in z) is representable
-    in float64 but below float32 resolution at the centered magnitude.
+    An unsplittable bucket of duplicates, or a bucket stretched by a far
+    outlier, can put more candidates within rounding of the selection
+    cut than the pad holds; argpartition then picks an arbitrary subset
+    and could exclude a strictly closer point.  Rows whose cut the
+    rounding margin cannot certify must be re-selected on exact float64
+    distances, in the single-bucket pass and the backtracking merge.
     """
 
     @pytest.fixture()
@@ -217,7 +219,7 @@ class TestSelectionTieOverflow:
         g = np.float64(2.0) ** -9
         points = np.full((128, 3), g)
         points[0] = [g, g, 0.0]            # the strictly nearest point
-        points[1] = [-997.0, 69.0, 0.0]    # outlier: inflates the centered scale
+        points[1] = [-997.0, 69.0, 0.0]    # outlier: inflates the selection scale
         points[2] = [-322.0, 1.0, g]
         tree, _ = build_tree(points, KdTreeConfig(bucket_capacity=8))
         return points, tree
@@ -238,4 +240,40 @@ class TestSelectionTieOverflow:
         points, tree = degenerate
         batched, _ = knn_exact_batched(tree, points[:8], 4)
         loop = knn_exact(tree, points[:8], 4, engine=False)
+        assert np.array_equal(batched.distances, loop.distances)
+
+    def test_exact_merge_ranks_submicron_neighbors_beside_outlier(self):
+        """The backtracking merge must certify its cut like the home pass.
+
+        A far outlier stretches the scale of the distance expansion
+        until neighbors 2^-23 apart are below its rounding; ranking
+        them on the expansion alone reported 2^-22.5 instead of 2^-23.
+        """
+        e = 2.0 ** -23
+        distinct = np.array(
+            [[0, 0, -e], [0, 0, 0], [0, e, 0], [0, 136.0, 0], [e, 0, 0]]
+        )
+        ids = [3, 1, 1, 4, 2, 1, 1, 1, 3, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 2,
+               1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 3, 1, 1, 1, 1, 1, 1, 1]
+        points = distinct[ids]
+        tree, _ = build_tree(points, KdTreeConfig(bucket_capacity=8))
+        batched = knn_exact(tree, points[9:10], 2)
+        loop = knn_exact(tree, points[9:10], 2, engine=False)
+        brute = knn_bruteforce(points, points[9:10], 2)
+        assert np.array_equal(batched.distances, loop.distances)
+        assert np.array_equal(batched.distances, brute.distances)
+        # The second neighbor has many exact copies; any of them is right.
+        assert np.array_equal(points[batched.indices], points[loop.indices])
+        assert np.array_equal(points[batched.indices], points[brute.indices])
+
+    def test_exact_merge_carries_outlier_bucket_rounding(self):
+        """Values kept from a bucket stretched by a far outlier are only
+        as exact as that bucket's frame; a later merge in a finer frame
+        must not rank them as if they were exact."""
+        rng = np.random.default_rng(37)
+        points = rng.normal(size=(32, 3)) * 1e-6
+        points[0] = [1e3, -1e3, 5e2]
+        tree, _ = build_tree(points, KdTreeConfig(bucket_capacity=4))
+        batched = knn_exact(tree, points, 3)
+        loop = knn_exact(tree, points, 3, engine=False)
         assert np.array_equal(batched.distances, loop.distances)

@@ -42,6 +42,20 @@ class TestEngineMetrics:
         assert flat["engine.exact.frontier.count"] >= 1
         assert flat["engine.exact.seconds.count"] == 1
 
+    def test_reselected_counts_rows_the_margin_cannot_certify(self, workload):
+        tree, queries = workload
+        with use_registry(MetricsRegistry()) as reg:
+            knn_exact_batched(tree, queries, 4)
+        # Distinct lidar points: every selection cut is certified.
+        assert reg.as_dict().get("engine.select.reselected", 0) == 0
+        points = np.zeros((64, 3))
+        points[:4] = [[5.0, 0, 0], [0, 5.0, 0], [0, 0, 5.0], [-5.0, 0, 0]]
+        dup_tree, _ = build_tree(points, KdTreeConfig(bucket_capacity=8))
+        with use_registry(MetricsRegistry()) as reg:
+            knn_approx_batched(dup_tree.flat(), np.zeros((3, 3)), 4)
+        # 60 exact duplicates in one bucket tie across every row's cut.
+        assert reg.as_dict()["engine.select.reselected"] == 3
+
     def test_disabled_registry_observes_nothing(self, workload):
         tree, queries = workload
         # The default registry is the shared no-op: queries leave no trace.

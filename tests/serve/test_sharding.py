@@ -84,8 +84,8 @@ class TestMergeTopk:
 
     @pytest.mark.parametrize("offset", [100.0, 1000.0, 1e5])
     def test_identical_off_origin(self, rng, offset):
-        # UTM-style frames far from the origin stress the centered
-        # selection metric; the merge must stay bit-identical.
+        # UTM-style frames far from the origin stress the selection
+        # metric's rounding; the merge must stay bit-identical.
         xyz = uniform_cloud(2000, rng=rng).xyz + offset
         queries = uniform_cloud(200, rng=rng).xyz + offset
         flat, _ = build_flat(xyz)
