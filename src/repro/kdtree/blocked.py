@@ -22,8 +22,9 @@ top-level :class:`BlockedIndex` router:
   :data:`repro.eviction.EVICTION` registry.
 * **Queries stay exact.**  Each query visits blocks in ascending order
   of squared AABB lower bound and stops as soon as the next bound
-  exceeds its current k-th distance; merged rows use the serve layer's
-  canonical order (ascending distance, ties by ascending global id),
+  exceeds its current k-th distance; rows merge through the serve
+  layer's :func:`~repro.serve.sharding.merge_topk` (ascending
+  distance, ties by ascending global id),
   so answers match a monolithic exact build the same way sharded
   serving does: distance rows bit-identical always, index rows
   bit-identical except among exact-duplicate coordinates (which are
@@ -748,6 +749,8 @@ class BlockedIndex:
 
     def query(self, queries, k: int) -> QueryResult:
         """Exact k-NN over all blocks, AABB-pruned per query."""
+        from repro.serve.sharding import merge_topk
+
         q = queries.xyz if isinstance(queries, PointCloud) else np.asarray(
             queries, dtype=np.float64
         )
@@ -786,8 +789,8 @@ class BlockedIndex:
                 idx_part, dst_part = self._search_block(
                     int(block), q[rows], k
                 )
-                merged_idx, merged_dst = _merge_rows(
-                    run_idx[rows], run_dst[rows], idx_part, dst_part, k
+                merged_idx, merged_dst = merge_topk(
+                    [run_idx[rows], idx_part], [run_dst[rows], dst_part], k
                 )
                 run_idx[rows] = merged_idx
                 run_dst[rows] = merged_dst
@@ -1099,26 +1102,3 @@ class BlockedShard:
             "(that would materialize every block); serve a BlockedIndex "
             "with the thread execution backend"
         )
-
-
-def _merge_rows(
-    idx_a: np.ndarray, dst_a: np.ndarray,
-    idx_b: np.ndarray, dst_b: np.ndarray, k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical row-wise merge of two top-k lists.
-
-    Same order as :func:`repro.serve.sharding.merge_topk` — ascending
-    distance, ties by ascending global id, padding last — via two
-    stable argsorts.  Blocks partition the points, so no id repeats.
-    """
-    cat_idx = np.concatenate([idx_a, idx_b], axis=1)
-    cat_dst = np.concatenate([dst_a, dst_b], axis=1)
-    o1 = np.argsort(cat_idx, axis=1, kind="stable")
-    o2 = np.argsort(
-        np.take_along_axis(cat_dst, o1, axis=1), axis=1, kind="stable"
-    )
-    order = np.take_along_axis(o1, o2, axis=1)[:, :k]
-    idx = np.take_along_axis(cat_idx, order, axis=1)
-    dst = np.take_along_axis(cat_dst, order, axis=1)
-    idx[np.isinf(dst)] = PAD_INDEX
-    return idx, dst

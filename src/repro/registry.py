@@ -12,8 +12,8 @@ now resolves through it and rejects unknown names with the same
 ``unknown <kind> '<name>'; available: a, b, c`` message listing the full
 set of canonical choices (plus aliases when any exist).
 
-Deprecated-alias folding (``worker=``, ``save_flat``/``load_flat``,
-bare ``max_leaves``) goes through :func:`warn_deprecated_alias`, so each
+Deprecated-alias folding (``save_flat``/``load_flat``, bare
+``max_leaves``) goes through :func:`warn_deprecated_alias`, so each
 folding event emits exactly one :class:`DeprecationWarning` attributed
 to the caller's call site.
 """

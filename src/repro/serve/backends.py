@@ -2,9 +2,11 @@
 
 The serving coordinator (:class:`~repro.serve.server.KnnServer`) owns
 admission, batch formation, the degradation ladder, failure policy,
-and the canonical top-k merge.  What it delegates is *execution*: given
-a dispatched batch job and a shard slot, compute that shard's local
-top-k.  An :class:`ExecutionBackend` is that delegation boundary, and
+and the canonical merge.  What it delegates is *execution*: given a
+dispatched batch job and a shard slot, run the job kind's per-shard
+search (:data:`~repro.serve.kinds.KINDS`) — the same call for every
+kind, under either backend.  An :class:`ExecutionBackend` is that
+delegation boundary, and
 the registry (:func:`register_backend` / :func:`make_backend`) mirrors
 the repo's ``engine=`` / ``builder=`` knob pattern — string-keyed,
 validated at config time, every entry bit-identical in its answers.
@@ -40,6 +42,7 @@ from repro.obs import get_registry
 from repro.registry import Registry
 from repro.serve import shm as shm_mod
 from repro.serve.errors import WorkerError
+from repro.serve.kinds import KINDS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.serve.server import KnnServer, _BatchJob
@@ -165,14 +168,9 @@ class ThreadBackend(ExecutionBackend):
                           "request_ids": job.request_ids,
                           "shard": slot},
                 ):
-                    if job.kind == "radius":
-                        payload = job.shards[slot].search_radius(
-                            job.q, job.radius, job.k
-                        )
-                    else:
-                        payload = job.shards[slot].search(
-                            job.q, job.k, job.budget
-                        )
+                    payload = KINDS[job.kind].search(
+                        job.shards[slot], job.q, job.args
+                    )
             except Exception as exc:
                 server._shard_failed(job, slot, exc)
                 continue
@@ -340,8 +338,8 @@ class ProcessBackend(ExecutionBackend):
             name = self._segment_names.get((job.generation, slot))
         if name is None:
             return  # generation already retired — the job is being torn down
-        task = (job.job_id, job.generation, name, job.q, job.k, job.budget,
-                job.request_ids, job.kind, job.radius)
+        task = (job.job_id, job.generation, name, job.q, job.kind, job.args,
+                job.request_ids)
         workers = self._slot_workers[slot]
         start = next(self._rr[slot])
         for i in range(len(workers)):

@@ -22,16 +22,18 @@ from concurrent.futures import Future
 import numpy as np
 
 from repro.serve.errors import Overloaded, ServerClosed
+from repro.serve.kinds import KINDS
 
 
 @dataclass
 class ServeRequest:
     """One admitted unit of work: a few query rows plus routing flags.
 
-    ``kind`` selects the query modality: ``"knn"`` (the default top-k
-    path) or ``"radius"`` (batched range search returning ragged CSR
-    rows).  A radius request stores its ``max_neighbors`` cap in ``k``
-    and its radius in ``radius``; it is always served exact.
+    ``kind`` keys the :data:`~repro.serve.kinds.KINDS` table: ``"knn"``
+    (the default top-k path) or ``"radius"`` (batched range search
+    returning ragged CSR rows).  A radius request stores its
+    ``max_neighbors`` cap in ``k`` and its radius in ``radius``; it is
+    always served exact.
     """
 
     xyz: np.ndarray                 # (m, 3) float64 query rows
@@ -52,17 +54,8 @@ class ServeRequest:
 
     @property
     def cost_rows(self) -> int:
-        """Queue-accounting weight of this request, in answer rows.
-
-        A kNN request costs its geometric row count.  A radius row can
-        return up to ``max_neighbors`` (= ``k``) candidates, so it
-        occupies ``rows × k`` budget — which is why the server requires
-        a finite cap on served radius queries: unbounded rows would
-        make admission control blind to their true cost.
-        """
-        if self.kind == "radius":
-            return self.xyz.shape[0] * self.k
-        return self.xyz.shape[0]
+        """Queue-accounting weight in answer rows (the kind's charge)."""
+        return KINDS[self.kind].charge(self)
 
 
 class MicroBatcher:

@@ -10,10 +10,9 @@ pool, then the failure-handling and degradation policies.  See
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.kdtree.config import KdTreeConfig
-from repro.registry import warn_deprecated_alias
 
 #: Queue-fraction thresholds of the degradation ladder (levels 1..3).
 DEFAULT_DEGRADE_THRESHOLDS = (0.5, 0.75, 0.9)
@@ -145,10 +144,6 @@ class ServeConfig:
         Execution-backend selection and lifecycle knobs
         (:class:`ExecutionConfig`): thread replicas in-process, or
         worker processes over shared-memory snapshots.
-    worker:
-        **Deprecated** alias for ``execution.backend`` (the pre-
-        :class:`ExecutionConfig` spelling).  Passing it emits a
-        ``DeprecationWarning`` and folds the value into ``execution``.
     """
 
     n_shards: int = 1
@@ -164,7 +159,6 @@ class ServeConfig:
     degrade_thresholds: tuple[float, float, float] = DEFAULT_DEGRADE_THRESHOLDS
     tree: KdTreeConfig = field(default_factory=KdTreeConfig)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
-    worker: str | None = None
 
     def __post_init__(self):
         if self.n_shards < 1:
@@ -194,16 +188,3 @@ class ServeConfig:
             raise ValueError(
                 "degrade_thresholds must be three ascending fractions in (0, 1]"
             )
-        if self.worker is not None:
-            # stacklevel=4 attributes the warning to the ServeConfig(...)
-            # call site (warn -> helper -> __post_init__ -> generated
-            # __init__ -> caller), keeping the repo's own escalated-
-            # warning filter pointed at code using the old spelling.
-            warn_deprecated_alias(
-                "ServeConfig(worker=...)",
-                "ServeConfig(execution=ExecutionConfig(backend=...))",
-                stacklevel=4,
-            )
-            folded = replace(self.execution, backend=self.worker)
-            object.__setattr__(self, "execution", folded)
-            object.__setattr__(self, "worker", None)

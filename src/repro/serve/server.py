@@ -1,27 +1,32 @@
 """KnnServer: sharded, micro-batched kNN serving with graceful degradation.
 
-The request path, in the order a query row experiences it:
+The request path, in the order a query row experiences it — one path
+for kNN and radius requests, whose differing steps are entries of the
+request-kind table :data:`~repro.serve.kinds.KINDS`:
 
-1. **Admission** — ``submit`` validates the rows and offers them to the
+1. **Admission** — ``submit`` / ``submit_radius`` validate the rows
+   (:func:`~repro.serve.kinds.as_queries`) and offer them to the
    bounded :class:`~repro.serve.batcher.MicroBatcher`; a full queue
    sheds the request synchronously with
    :class:`~repro.serve.errors.Overloaded` (a typed refusal, never a
    degraded-silently answer).
 2. **Batch formation** — the dispatcher thread pulls a batch when it
    fills or its deadline lapses, reads the queue fraction to pick the
-   degradation level, drops already-expired requests, and groups the
-   rest by ``(k, effective budget)`` so each group is one engine call.
+   degradation level, drops already-expired requests, plans the rest,
+   and groups them by ``(kind, engine args)`` so each group is one
+   engine call.
 3. **Fan-out** — each group becomes a job holding a snapshot of the
    current shard generation; one task per shard goes to the
    *execution backend* (:mod:`repro.serve.backends`): thread replicas
    computing in-process, or worker processes computing against
    shared-memory snapshots of the shard trees.  Either way the shard
-   computes its local top-k through the batched engine and translates
+   runs its kind's search through the batched kernels and translates
    local ids to global ids.
 4. **Merge** — when the last shard answers, the coordinator merges the
-   per-shard lists with the canonical
-   :func:`~repro.serve.sharding.merge_topk` rule and resolves every
-   request's future with a :class:`ServeResponse`.  The merge always
+   per-shard answers with the kind's canonical merge
+   (:func:`~repro.serve.sharding.merge_topk` or
+   :func:`~repro.serve.sharding.merge_radius`) and resolves every
+   request's future with its slice of the result.  The merge always
    runs in the coordinator, so exact answers are bit-identical to the
    unsharded engine for any shard count **and either backend**.
 5. **Failure handling** — a monitor thread enforces per-request
@@ -30,7 +35,8 @@ The request path, in the order a query row experiences it:
    are retried ``max_retries`` times before the job's requests fail
    with the underlying error.
 
-Degradation ladder (queue fraction against ``degrade_thresholds``):
+Degradation ladder for kNN requests (queue fraction against
+``degrade_thresholds``; radius requests never degrade):
 
 ====== ======================== =====================================
 level  approx requests          exact requests with ``allow_degraded``
@@ -63,123 +69,51 @@ import itertools
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from repro.kdtree.flat_build import build_flat
-from repro.kdtree.search import QueryResult
 from repro.kdtree.snapshot import Snapshot
 from repro.obs import get_registry
 from repro.serve.backends import make_backend
 from repro.serve.batcher import MicroBatcher, ServeRequest
 from repro.serve.config import ServeConfig
 from repro.serve.errors import RequestTimeout, ServerClosed
-from repro.serve.sharding import (
-    ShardPlan,
-    ShardState,
-    make_plan,
-    merge_radius,
-    merge_topk,
+from repro.serve.kinds import (
+    KINDS,
+    RadiusServeResponse,
+    ServeResponse,
+    as_queries,
 )
+from repro.serve.sharding import ShardPlan, ShardState, make_plan
 
 _SNAPSHOT_GLOB = "shard-*.npz"
-
-
-@dataclass(frozen=True)
-class ServeResponse:
-    """One answered request, with the conditions it was answered under.
-
-    ``indices`` holds *global* reference-point ids (``-1`` padding),
-    ``distances`` the exact float64 distances from the engine kernel.
-    ``served`` names the search actually run (``"exact"``,
-    ``"approx"``, or ``"degraded"`` when load tightened the budget or
-    downgraded an opted-in exact request); ``budget`` is the
-    ``max_visits`` it ran with (``None`` = unbounded exact).
-    """
-
-    indices: np.ndarray
-    distances: np.ndarray
-    mode: str               # what the caller asked for
-    served: str             # what actually ran
-    degrade_level: int
-    budget: int | None
-    latency_s: float
-    generation: int
-    request_id: int = -1    # the trace id assigned at admission
-
-    @property
-    def degraded(self) -> bool:
-        return self.served == "degraded"
-
-    def as_query_result(self) -> QueryResult:
-        return QueryResult(indices=self.indices, distances=self.distances)
-
-
-@dataclass(frozen=True)
-class RadiusServeResponse:
-    """One answered radius request: ragged CSR rows, always exact.
-
-    ``indices`` / ``distances`` are the flat per-pair arrays and
-    ``offsets`` the row boundaries — the same layout as
-    :class:`~repro.query.result.RaggedResult` (:meth:`as_ragged`
-    wraps them).  Rows are in the canonical order (ascending distance,
-    ties by ascending global id), each capped at its nearest
-    ``max_neighbors``.  Radius requests never ride the degradation
-    ladder — a partial radius answer has no honest meaning — so
-    ``served`` is always ``"exact"``; overload protection is admission
-    control alone, with each row charged ``max_neighbors`` queue rows.
-    """
-
-    indices: np.ndarray
-    distances: np.ndarray
-    offsets: np.ndarray
-    radius: float
-    max_neighbors: int
-    degrade_level: int
-    latency_s: float
-    generation: int
-    request_id: int = -1
-    served: str = "exact"
-
-    def as_ragged(self):
-        from repro.query.result import RaggedResult
-
-        return RaggedResult(
-            indices=self.indices,
-            distances=self.distances,
-            offsets=self.offsets,
-        )
 
 
 class _BatchJob:
     """One engine call's worth of coalesced rows, fanned out to shards."""
 
     __slots__ = (
-        "job_id", "requests", "request_ids", "q", "k", "budget", "shards",
+        "job_id", "requests", "request_ids", "q", "kind", "args", "shards",
         "generation", "degrade_level", "lock", "results", "shard_done",
         "hedged", "attempts", "n_done", "finished", "dispatched_at",
-        "kind", "radius",
     )
 
-    def __init__(self, job_id, requests, q, k, budget, shards, generation,
-                 degrade_level, dispatched_at, kind="knn", radius=0.0):
+    def __init__(self, job_id, requests, q, kind, args, shards, generation,
+                 degrade_level, dispatched_at):
         self.job_id: int = job_id
         self.requests: list[ServeRequest] = requests
         self.request_ids: list[int] = [r.request_id for r in requests]
         self.q = q                       # (rows, 3) concatenated queries
-        self.k = k
-        self.budget = budget             # None = unbounded exact
-        self.kind: str = kind            # "knn" | "radius"
-        self.radius: float = radius      # ball radius for kind == "radius"
+        self.kind: str = kind            # a KINDS key
+        self.args: tuple = args          # the kind's engine arguments
         self.shards: tuple[ShardState, ...] = shards
         self.generation = generation
         self.degrade_level = degrade_level
         self.lock = threading.Lock()
         n = len(shards)
-        #: Per-shard result payload: ``(indices, distances)`` for kNN,
-        #: ``(indices, distances, offsets)`` CSR for radius.
+        #: Per-shard result payload of the job's kind.
         self.results: list[tuple | None] = [None] * n
         self.shard_done = [False] * n
         self.hedged = [False] * n
@@ -354,7 +288,8 @@ class KnnServer:
                allow_degraded: bool = False) -> Future:
         """Admit rows for service; returns a ``Future[ServeResponse]``.
 
-        Raises :class:`~repro.serve.errors.Overloaded` synchronously if
+        Raises ``ValueError`` for rows that are not a finite ``(m, 3)``
+        array, :class:`~repro.serve.errors.Overloaded` synchronously if
         admission control sheds the request, and
         :class:`~repro.serve.errors.ServerClosed` after :meth:`close`.
         """
@@ -362,29 +297,10 @@ class KnnServer:
             raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
         if k < 1:
             raise ValueError("k must be positive")
-        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if q.ndim != 2 or q.shape[1] != 3 or q.shape[0] == 0:
-            raise ValueError("queries must have shape (m, 3) with m >= 1")
-        request = ServeRequest(
-            xyz=np.ascontiguousarray(q), k=k, mode=mode,
+        return self._admit(ServeRequest(
+            xyz=as_queries(queries), k=k, mode=mode,
             allow_degraded=allow_degraded,
-            request_id=next(self._request_ids),
-        )
-        if self.config.request_timeout_s is not None:
-            request.deadline = self._clock() + self.config.request_timeout_s
-        try:
-            with get_registry().phase(
-                "serve.admit",
-                args={"request_id": request.request_id,
-                      "rows": request.n_rows},
-            ):
-                self._batcher.submit(request)
-        except Exception:
-            self._count("serve.shed", 1)
-            raise
-        self._count("serve.requests", 1)
-        self._count("serve.rows", request.n_rows)
-        return request.future
+        ))
 
     def query(self, queries, k: int, *, mode: str = "exact",
               allow_degraded: bool = False,
@@ -412,14 +328,21 @@ class KnnServer:
                 "max_neighbors must be a positive row cap (radius "
                 "requests are admitted by their worst-case answer size)"
             )
-        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if q.ndim != 2 or q.shape[1] != 3 or q.shape[0] == 0:
-            raise ValueError("queries must have shape (m, 3) with m >= 1")
-        request = ServeRequest(
-            xyz=np.ascontiguousarray(q), k=max_neighbors, mode="exact",
+        return self._admit(ServeRequest(
+            xyz=as_queries(queries), k=max_neighbors, mode="exact",
             allow_degraded=False, kind="radius", radius=radius,
-            request_id=next(self._request_ids),
-        )
+        ))
+
+    def query_radius(self, queries, radius: float, *, max_neighbors: int,
+                     timeout: float | None = None) -> RadiusServeResponse:
+        """Blocking :meth:`submit_radius`: wait for and return the response."""
+        return self.submit_radius(
+            queries, radius, max_neighbors=max_neighbors
+        ).result(timeout=timeout)
+
+    def _admit(self, request: ServeRequest) -> Future:
+        """Offer a validated request to the batcher, or shed it."""
+        request.request_id = next(self._request_ids)
         if self.config.request_timeout_s is not None:
             request.deadline = self._clock() + self.config.request_timeout_s
         try:
@@ -432,17 +355,10 @@ class KnnServer:
         except Exception:
             self._count("serve.shed", 1)
             raise
-        self._count("serve.requests", 1)
-        self._count("serve.radius_requests", 1)
+        for name in KINDS[request.kind].counters:
+            self._count(name, 1)
         self._count("serve.rows", request.n_rows)
         return request.future
-
-    def query_radius(self, queries, radius: float, *, max_neighbors: int,
-                     timeout: float | None = None) -> "RadiusServeResponse":
-        """Blocking :meth:`submit_radius`: wait for and return the response."""
-        return self.submit_radius(
-            queries, radius, max_neighbors=max_neighbors
-        ).result(timeout=timeout)
 
     def update_reference(self, points) -> dict:
         """Warm handoff: rebuild every shard from ``points``, swap atomically.
@@ -632,17 +548,6 @@ class KnnServer:
             return 1
         return 0
 
-    def _plan_budget(self, request: ServeRequest, level: int) -> tuple[int | None, str]:
-        """Map (request, load level) to an engine budget and a label."""
-        b = self.config.approx_budget
-        if request.mode == "approx":
-            budget = (b, b // 2, b // 4, 0)[level]
-            return budget, ("approx" if budget == b else "degraded")
-        if not request.allow_degraded or level == 0:
-            return None, "exact"
-        budget = (None, 4 * b, b, 0)[level]
-        return budget, "degraded"
-
     # ------------------------------------------------------------------
     # Dispatcher
     # ------------------------------------------------------------------
@@ -680,7 +585,7 @@ class KnnServer:
                 obs.gauge("serve.degrade_level").set(level)
                 obs.distribution("serve.batch_fill").observe(batch_rows)
 
-        live: list[tuple[ServeRequest, int | None, str]] = []
+        groups: dict[tuple, list[ServeRequest]] = {}
         for request in batch:
             if request.deadline is not None and now >= request.deadline:
                 waited = now - request.arrival
@@ -690,39 +595,25 @@ class KnnServer:
                 ):
                     self._count("serve.timeouts", 1)
                 continue
-            if request.kind == "radius":
-                # Radius rows never degrade: a truncated ball has no
-                # honest meaning, and each row prepaid its worst case
-                # at admission.
-                budget, served = None, "exact"
-            else:
-                budget, served = self._plan_budget(request, level)
-            live.append((request, budget, served))
-
-        groups: dict[tuple, list[tuple[ServeRequest, str]]] = {}
-        for request, budget, served in live:
-            key = (request.kind, request.k, budget, request.radius)
-            groups.setdefault(key, []).append((request, served))
+            args, request.served = KINDS[request.kind].plan(
+                request, level, self.config.approx_budget
+            )
+            groups.setdefault((request.kind, args), []).append(request)
 
         with self._swap_lock:
             shards = self._shards
             generation = self._generation
-        for (kind, k, budget, radius), members in groups.items():
-            requests = [r for r, _ in members]
-            for request, served in members:
-                request.served = served
+        for (kind, args), requests in groups.items():
             job = _BatchJob(
                 job_id=next(self._job_ids),
                 requests=requests,
                 q=np.concatenate([r.xyz for r in requests], axis=0),
-                k=k,
-                budget=budget,
+                kind=kind,
+                args=args,
                 shards=shards,
                 generation=generation,
                 degrade_level=level,
                 dispatched_at=now,
-                kind=kind,
-                radius=radius,
             )
             with self._inflight_lock:
                 self._inflight[job.job_id] = job
@@ -751,9 +642,7 @@ class KnnServer:
     ) -> None:
         """A shard's local result arrived; merge when it was the last.
 
-        ``payload`` is the shard's result tuple for the job's kind:
-        ``(indices, distances)`` top-k arrays for kNN,
-        ``(indices, distances, offsets)`` CSR for radius.
+        ``payload`` is what the job kind's ``search`` returned.
         """
         last = False
         with job.lock:
@@ -784,81 +673,30 @@ class KnnServer:
         self._count("serve.errors", len(job.requests))
 
     def _finish_job(self, job: _BatchJob) -> None:
+        """Merge the per-shard parts and resolve each request's slice."""
         with job.lock:
             if job.finished:
                 return
             job.finished = True
         self._drop_inflight(job)
-        if job.kind == "radius":
-            self._finish_radius_job(job)
-            return
-        parts = job.results
+        kind = KINDS[job.kind]
         obs = get_registry()
         with obs.phase(
             "serve.merge",
             args={"job_id": job.job_id, "request_ids": job.request_ids},
         ):
-            indices, distances = merge_topk(
-                [p[0] for p in parts], [p[1] for p in parts], job.k
-            )
+            merged = kind.merge(job.results, int(job.q.shape[0]), job.args)
         now = self._clock()
         row = 0
         for request in job.requests:
-            rows = slice(row, row + request.n_rows)
+            response = kind.respond(
+                merged, job, request, row, row + request.n_rows, now
+            )
             row += request.n_rows
-            response = ServeResponse(
-                indices=indices[rows],
-                distances=distances[rows],
-                mode=request.mode,
-                served=request.served,
-                degrade_level=job.degrade_level,
-                budget=job.budget,
-                latency_s=now - request.arrival,
-                generation=job.generation,
-                request_id=request.request_id,
-            )
             if _try_set_result(request.future, response):
                 self._count("serve.completed", 1)
-                if response.degraded:
+                if response.served == "degraded":
                     self._count("serve.degraded", 1)
-                if obs.enabled:
-                    with self._obs_lock:
-                        obs.histogram("serve.latency_ms").observe(
-                            response.latency_s * 1e3
-                        )
-
-    def _finish_radius_job(self, job: _BatchJob) -> None:
-        """Merge per-shard CSR parts and slice per-request sub-results."""
-        obs = get_registry()
-        n_rows = int(job.q.shape[0])
-        with obs.phase(
-            "serve.merge",
-            args={"job_id": job.job_id, "request_ids": job.request_ids},
-        ):
-            merged = merge_radius(job.results, n_rows, job.k)
-        now = self._clock()
-        row = 0
-        for request in job.requests:
-            row0, row1 = row, row + request.n_rows
-            row = row1
-            lo = int(merged.offsets[row0])
-            hi = int(merged.offsets[row1])
-            response = RadiusServeResponse(
-                indices=merged.indices[lo:hi],
-                distances=merged.distances[lo:hi],
-                offsets=merged.offsets[row0 : row1 + 1] - lo,
-                radius=job.radius,
-                max_neighbors=job.k,
-                # Always 0: radius answers never degrade, and reporting
-                # the queue-pressure ladder level here would read as a
-                # truncated ball.
-                degrade_level=0,
-                latency_s=now - request.arrival,
-                generation=job.generation,
-                request_id=request.request_id,
-            )
-            if _try_set_result(request.future, response):
-                self._count("serve.completed", 1)
                 if obs.enabled:
                     with self._obs_lock:
                         obs.histogram("serve.latency_ms").observe(

@@ -62,7 +62,8 @@ from repro.eviction import EVICTION
 from repro.obs import get_registry
 from repro.serve.config import ServeConfig
 from repro.serve.errors import Overloaded
-from repro.serve.server import KnnServer, ServeResponse
+from repro.serve.kinds import ServeResponse, as_queries
+from repro.serve.server import KnnServer
 from repro.serve.sharding import ShardState
 
 #: Tenant ids become metric names and spill file names, so keep them in
@@ -357,9 +358,7 @@ class SessionManager:
         is at its quota (fair-share shed — other tenants are
         unaffected), or when the session's own queue is full.
         """
-        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if q.ndim != 2 or q.shape[1] != 3 or q.shape[0] == 0:
-            raise ValueError("queries must have shape (m, 3) with m >= 1")
+        q = as_queries(queries)
         rows = int(q.shape[0])
         quota = self.config.quota_rows
         with self._lock:

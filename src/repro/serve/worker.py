@@ -4,14 +4,14 @@ One worker serves one shard slot: it pulls tasks off its shard's task
 queue, attaches the named shared-memory segment for the task's
 generation (cached across tasks — attach is a one-time ``mmap`` plus
 header decode, the arrays themselves are zero-copy views), runs the
-same :meth:`~repro.serve.sharding.ShardState.search` the thread
-backend runs, and ships ``(indices, distances)`` back on its private
-result pipe.  The pipe has exactly one writer (this worker) and one
-reader (a coordinator-side collector thread), so there is no shared
-lock a SIGKILLed sibling could take to its grave — and the pipe's EOF
-doubles as the worker's death notice.  All policy — degradation,
-hedging, retries, timeouts, merge — stays in the coordinator; a worker
-is a pure compute loop.
+same per-shard search of the task's request kind
+(:data:`~repro.serve.kinds.KINDS`) the thread backend runs, and ships
+the result back on its private result pipe.  The pipe has exactly one
+writer (this worker) and one reader (a coordinator-side collector
+thread), so there is no shared lock a SIGKILLed sibling could take to
+its grave — and the pipe's EOF doubles as the worker's death notice.
+All policy — degradation, hedging, retries, timeouts, merge — stays in
+the coordinator; a worker is a pure compute loop.
 
 Observability: when the coordinator runs with profiling on it passes
 ``obs_config`` and the worker enables its own live
@@ -52,6 +52,7 @@ import signal
 
 from repro.serve import shm as shm_mod
 from repro.serve.errors import WorkerError
+from repro.serve.kinds import KINDS
 
 #: Generations a worker keeps attached (current + one behind, so a
 #: hedge or retry of a pre-swap job never pays a re-attach).
@@ -126,15 +127,13 @@ def worker_main(worker_id: str, slot: int, task_queue, result_conn,
                 obs_config: dict | None = None) -> None:
     """Entry point of one shard-replica worker process.
 
-    ``task_queue`` yields ``(job_id, generation, segment_name, q, k,
-    budget, request_ids, query_kind, radius)`` tuples, or ``None`` as
-    the shutdown sentinel.  ``query_kind`` selects the modality:
-    ``"knn"`` runs :meth:`~repro.serve.sharding.ShardState.search`
-    (payload ``(indices, distances)``), ``"radius"`` runs
-    :meth:`~repro.serve.sharding.ShardState.search_radius` (payload
-    the ``(indices, distances, offsets)`` CSR triplet).  Replies on
-    ``result_conn`` (this worker's private pipe) are
-    ``(kind, worker_id, job_id, slot, payload, counters, metrics)``
+    ``task_queue`` yields ``(job_id, generation, segment_name, q,
+    query_kind, args, request_ids)`` tuples, or ``None`` as the
+    shutdown sentinel.  ``query_kind`` is a
+    :data:`~repro.serve.kinds.KINDS` key and ``args`` that kind's
+    engine arguments; the payload is whatever the kind's ``search``
+    returns.  Replies on ``result_conn`` (this worker's private pipe)
+    are ``(kind, worker_id, job_id, slot, payload, counters, metrics)``
     with kind ``result`` (payload as above), ``error``
     (payload the exception), or ``bye`` (farewell); ``metrics`` is the
     worker registry's ``flush_delta()`` payload, or ``None`` when the
@@ -159,24 +158,19 @@ def worker_main(worker_id: str, slot: int, task_queue, result_conn,
             task = task_queue.get()
             if task is None:
                 return
-            (job_id, generation, segment_name, q, k, budget,
-             request_ids, query_kind, radius) = task
+            (job_id, generation, segment_name, q, query_kind, args,
+             request_ids) = task
             try:
                 state = cache.get(generation, segment_name)
-
-                def _compute():
-                    if query_kind == "radius":
-                        return state.search_radius(q, radius, k)
-                    return state.search(q, k, budget)
-
+                search = KINDS[query_kind].search
                 if registry is not None:
                     span_args = {"job_id": job_id, "worker": worker_id}
                     if request_ids is not None:
                         span_args["request_ids"] = request_ids
                     with registry.phase("serve.worker.search", args=span_args):
-                        payload = _compute()
+                        payload = search(state, q, args)
                 else:
-                    payload = _compute()
+                    payload = search(state, q, args)
             except Exception as exc:
                 counters["errors"] += 1
                 result_conn.send(

@@ -20,7 +20,7 @@ from repro.kdtree import (
     build_flat,
     knn_exact_batched,
 )
-from repro.kdtree.blocked import PARTITIONERS, _merge_rows, _tree_resident_nbytes
+from repro.kdtree.blocked import PARTITIONERS, _tree_resident_nbytes
 from repro.kdtree.search import PAD_INDEX
 from repro.kdtree.snapshot import Snapshot
 
@@ -295,25 +295,3 @@ class TestServing:
         )
         with pytest.raises(NotImplementedError, match="thread execution"):
             index.as_shard().snapshot()
-
-
-# ----------------------------------------------------------------------
-# Merge helper
-# ----------------------------------------------------------------------
-def test_merge_rows_matches_serve_merge():
-    from repro.serve.sharding import merge_topk
-
-    rng = np.random.default_rng(5)
-    k = 6
-    parts = []
-    for _ in range(2):
-        dst = np.sort(rng.uniform(0, 10, size=(30, k)), axis=1)
-        idx = rng.integers(0, 1000, size=(30, k))
-        dst[:, -2:] = np.inf
-        idx[np.isinf(dst)] = PAD_INDEX
-        parts.append((idx.astype(np.int64), dst))
-    (ia, da), (ib, db) = parts
-    got_idx, got_dst = _merge_rows(ia, da, ib, db, k)
-    want_idx, want_dst = merge_topk([ia, ib], [da, db], k)
-    np.testing.assert_array_equal(got_idx, want_idx)
-    np.testing.assert_array_equal(got_dst, want_dst)

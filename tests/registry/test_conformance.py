@@ -127,20 +127,6 @@ class TestDeprecatedAliasWarnings:
                           match=r"^old\(\) is deprecated; use new\(\) instead$"):
             warn_deprecated_alias("old()", "new()", stacklevel=2)
 
-    def test_serve_worker_alias_warns_exactly_once(self):
-        from repro.serve.config import ServeConfig
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            config = ServeConfig(worker="thread")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "ServeConfig(worker=...)" in str(deprecations[0].message)
-        assert config.execution.backend == "thread"
-        assert config.worker is None
-
     def test_snapshot_shims_warn_exactly_once_per_call(self, tmp_path):
         from repro.kdtree import build_flat
         from repro.kdtree.serialize import load_flat, save_flat

@@ -73,19 +73,6 @@ class TestRegistry:
         assert ExecutionConfig(processes=2).processes_per_shard(3) == 2
 
 
-class TestDeprecatedWorkerAlias:
-    def test_worker_kwarg_warns_and_folds(self):
-        with pytest.deprecated_call():
-            config = ServeConfig(worker="process")
-        assert config.execution.backend == "process"
-        assert config.worker is None  # normalized, so replace() won't re-warn
-
-    def test_worker_kwarg_still_validates(self):
-        with pytest.deprecated_call():
-            with pytest.raises(ValueError, match="unknown execution backend"):
-                ServeConfig(worker="bogus")
-
-
 class TestBackendEquivalence:
     """Process answers must be bit-identical to thread answers."""
 

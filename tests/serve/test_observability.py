@@ -10,16 +10,24 @@ pids, linked by request id.
 """
 
 import os
+import re
 import secrets
 import signal
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.obs as obs
 from repro.datasets.synthetic import uniform_cloud
-from repro.serve import ExecutionConfig, KnnServer, ServeConfig
+from repro.serve import (
+    ExecutionConfig,
+    KnnServer,
+    ServeConfig,
+    SessionConfig,
+    SessionManager,
+)
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +224,69 @@ class TestStatsSurface:
         assert counters["serve.batches"] >= 1
         assert stats["uptime_s"] > 0
         assert 0.0 <= stats["queue_fill"] <= 1.0
+
+
+def _documented_serve_names() -> list[re.Pattern]:
+    """The ``serve.`` row of docs/observability.md "Metric names".
+
+    ``<id>`` matches one name component and a trailing ``.*`` matches
+    the name itself and anything under it.  Parenthesised remarks are
+    prose, not names.
+    """
+    doc = Path(__file__).resolve().parents[2] / "docs" / "observability.md"
+    table = doc.read_text().split("## Metric names", 1)[1]
+    row = next(
+        line for line in table.splitlines() if line.startswith("| `serve.` |")
+    )
+    cell = re.sub(r"\([^)]*\)", "", row.split("|")[2])
+    wild = {"<id>": r"[^.]+", ".*": r"(\..+)?"}
+    return [
+        re.compile("".join(
+            wild.get(part, re.escape(part))
+            for part in re.split(r"(<id>|\.\*$)", "serve." + entry)
+        ))
+        for entry in re.findall(r"`([^`]+)`", cell)
+    ]
+
+
+class TestMetricNames:
+    def test_every_emitted_serve_name_is_documented(self, cloud):
+        ref, queries = cloud
+        registry = obs.enable()
+        with KnnServer(ref, _config("thread")) as server:
+            server.query(queries, 8)
+            server.query(queries[:16], 4, mode="approx")
+            server.query_radius(queries[:16], 2.0, max_neighbors=4)
+            server.update_reference(ref[::-1])
+            server.update_reference_shards(server._shards)
+        with KnnServer(ref, _config("process")) as server:
+            server.query(queries[:8], 4, timeout=60)
+            server.query_radius(queries[:8], 2.0, max_neighbors=4, timeout=60)
+        sessions = SessionConfig(
+            max_resident=1, serve=ServeConfig(max_delay_s=0.0)
+        )
+        with SessionManager(sessions) as fleet:
+            fleet.observe_frame("t0", ref[:400])      # create
+            fleet.observe_frame("t0", ref[400:800])   # incremental update
+            fleet.observe_frame("t1", ref[800:1200])  # spills t0
+            fleet.query("t0", queries[:8], k=4)       # restores t0
+        snapshot = registry.snapshot()
+        emitted = {
+            name
+            for kind in ("counters", "gauges", "distributions", "histograms")
+            for name in snapshot[kind]
+            if name.startswith("serve.")
+        }
+        assert "serve.radius_requests" in emitted
+        assert "serve.sessions.restored" in emitted
+        documented = _documented_serve_names()
+        undocumented = sorted(
+            name for name in emitted
+            if not any(p.fullmatch(name) for p in documented)
+        )
+        assert not undocumented, (
+            f"emitted but missing from docs/observability.md: {undocumented}"
+        )
 
 
 def _pid_alive(pid: int) -> bool:

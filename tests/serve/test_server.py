@@ -87,6 +87,27 @@ class TestExactIdentity:
             with pytest.raises(ValueError, match="shape"):
                 server.submit(np.zeros((1, 4)), 4)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_refused_without_harming_batch_mates(
+        self, cloud, bad
+    ):
+        ref, queries = cloud
+        flat, _ = build_flat(ref)
+        clean = queries[:8]
+        truth, _ = knn_exact_batched(flat, clean, 4)
+        poisoned = clean.copy()
+        poisoned[3, 1] = bad
+        # The 0.3 s deadline would put both requests in one micro-batch.
+        with KnnServer(ref, ServeConfig(max_delay_s=0.3)) as server:
+            future = server.submit(clean, 4)
+            with pytest.raises(ValueError, match="finite"):
+                server.submit(poisoned, 4)
+            with pytest.raises(ValueError, match="finite"):
+                server.submit_radius(poisoned, 1.0, max_neighbors=4)
+            response = future.result(timeout=10)
+        assert np.array_equal(response.indices, truth.indices)
+        assert np.array_equal(response.distances, truth.distances)
+
 
 class TestOverload:
     def test_typed_shed_never_wrong_answers(self, cloud):

@@ -73,6 +73,14 @@ class TestLifecycle:
             with pytest.raises(KeyError, match="unknown tenant"):
                 m.submit("ghost", _queries(0), k=2)
 
+    def test_rejects_non_finite_query_rows(self):
+        with SessionManager(_fast()) as m:
+            m.observe_frame("t0", _frame(0))
+            bad = _queries(1)
+            bad[2, 0] = np.nan
+            with pytest.raises(ValueError, match="finite"):
+                m.submit("t0", bad, k=4)
+
     def test_closed_manager_refuses(self):
         m = SessionManager(_fast())
         m.observe_frame("t0", _frame(0))
