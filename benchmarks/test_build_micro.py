@@ -4,8 +4,8 @@ Measures the per-frame pipeline costs the vectorized builder attacks:
 full build (construction + placement), placement alone, the batched
 incremental update, and the randomized forest build.  Every pair is
 first checked for equivalence (bit-identical trees for the single-tree
-builder, identical update results for the incremental path), then timed
-best-of-N; ratios land in ``extra_info``.  As with the engine
+builder, identical leaf ids for placement), then timed best-of-N;
+ratios land in ``extra_info``.  As with the engine
 micro-benchmarks, CI only smoke-asserts not-slower — the hard multiple
 lives in the PR notes, because shared runners are too noisy to gate on
 a ratio.  Each test also records a trajectory point (points/second)
@@ -104,30 +104,17 @@ def test_incremental_update_batched(benchmark, frames_30k, bench_build):
     tree, _ = build_tree(ref, config)
     new_points = qry.xyz[:5_000]
 
-    fast, trace_f = update_tree(tree, new_points, config, batched=True)
-    slow, trace_s = update_tree(tree, new_points, config, batched=False)
-    assert fast.nodes == slow.nodes
-    assert all(np.array_equal(a, b) for a, b in zip(fast.buckets, slow.buckets))
-    assert trace_f.as_dict() == trace_s.as_dict()
-
-    scalar_s = _best_of(lambda: update_tree(tree, new_points, config, batched=False),
-                        rounds=2)
-    benchmark(lambda: update_tree(tree, new_points, config, batched=True))
+    benchmark(lambda: update_tree(tree, new_points, config))
     batched_times = _timed_runs(
-        lambda: update_tree(tree, new_points, config, batched=True), rounds=3
+        lambda: update_tree(tree, new_points, config), rounds=3
     )
     batched_s = min(batched_times)
-    speedup = scalar_s / batched_s
-    benchmark.extra_info["scalar_ms"] = round(scalar_s * 1e3, 2)
     benchmark.extra_info["batched_ms"] = round(batched_s * 1e3, 2)
-    benchmark.extra_info["speedup_vs_scalar"] = round(speedup, 2)
     bench_build.add(
         "incremental_batched", work=new_points.shape[0], times_s=batched_times,
-        points=int(new_points.shape[0]), speedup_vs_scalar=round(speedup, 2),
+        points=int(new_points.shape[0]),
     )
-    print(f"\nincremental +5k: scalar routing {scalar_s * 1e3:.1f} ms, "
-          f"batched {batched_s * 1e3:.1f} ms, speedup {speedup:.1f}x")
-    assert speedup >= 1.0
+    print(f"\nincremental +5k: batched {batched_s * 1e3:.1f} ms")
 
 
 def test_forest_build_vectorized(benchmark, frames_30k, bench_build):

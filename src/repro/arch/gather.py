@@ -21,7 +21,6 @@ notes they "operate in a similar way".
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.obs import get_registry
@@ -54,17 +53,6 @@ class GatherStats:
     def mean_fill(self) -> float:
         """Average slot occupancy at flush time."""
         return self.flushed_items / self.flushes if self.flushes else 0.0
-
-    @property
-    def mean_fill_at_flush(self) -> float:
-        """Deprecated: renamed to :attr:`mean_fill`."""
-        warnings.warn(
-            "GatherStats.mean_fill_at_flush is deprecated; use "
-            "GatherStats.mean_fill (or as_dict()['mean_fill'])",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.mean_fill
 
     def as_dict(self) -> dict:
         """Flat scalar view (the repo-wide stats convention)."""

@@ -22,7 +22,7 @@ from repro.kdtree.blocked import (
 from repro.kdtree.build import BuildTrace, build_tree, place_points
 from repro.kdtree.config import KdTreeConfig
 from repro.kdtree.engine import FlatKdTree, knn_approx_batched, knn_exact_batched
-from repro.kdtree.flat_build import build_flat, build_tree_vectorized
+from repro.kdtree.flat_build import build_flat
 from repro.kdtree.forest import KdForest, KdForestConfig
 from repro.kdtree.incremental import UpdateTrace, reuse_tree, update_tree
 from repro.kdtree.node import NO_NODE, KdNode, KdTree
@@ -37,17 +37,7 @@ from repro.kdtree.search import (
     knn_exact,
     radius_search,
 )
-from repro.kdtree.serialize import (
-    flat_from_arrays,
-    flat_to_arrays,
-    load_flat,
-    load_tree,
-    save_flat,
-    save_tree,
-    tree_from_arrays,
-    tree_to_arrays,
-)
-from repro.kdtree.snapshot import Snapshot
+from repro.kdtree.snapshot import Snapshot, load_tree, save_tree
 from repro.kdtree.stats import TreeStats, node_access_probability, tree_stats
 from repro.kdtree.validate import TreeInvariantError, check_tree
 
@@ -73,10 +63,7 @@ __all__ = [
     "build_blocked",
     "build_flat",
     "build_tree",
-    "build_tree_vectorized",
     "check_tree",
-    "flat_from_arrays",
-    "flat_to_arrays",
     "knn_approx",
     "knn_approx_batched",
     "knn_approx_loop",
@@ -87,16 +74,12 @@ __all__ = [
     "boundary_distances",
     "diagnose_misses",
     "leaf_regions",
-    "load_flat",
     "load_tree",
     "node_access_probability",
     "place_points",
     "radius_search",
     "reuse_tree",
-    "save_flat",
     "save_tree",
-    "tree_from_arrays",
     "tree_stats",
-    "tree_to_arrays",
     "update_tree",
 ]

@@ -23,7 +23,6 @@ are bit-identical in tree shape, bucket contents, and trace totals.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,17 +51,6 @@ class BuildTrace:
     def sorted_elements(self) -> int:
         """Total elements handed to the sorter across all splits."""
         return int(sum(self.sort_sizes))
-
-    @property
-    def total_sorted_elements(self) -> int:
-        """Deprecated: renamed to :attr:`sorted_elements`."""
-        warnings.warn(
-            "BuildTrace.total_sorted_elements is deprecated; use "
-            "BuildTrace.sorted_elements (or as_dict()['sorted_elements'])",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.sorted_elements
 
     def as_dict(self) -> dict:
         """Flat scalar view (the repo-wide stats convention)."""
@@ -131,12 +119,10 @@ def _build_vectorized(
     rng: np.random.Generator | None,
     place: bool,
 ) -> tuple[KdTree, BuildTrace]:
-    from repro.kdtree.flat_build import build_tree_vectorized
+    from repro.kdtree.flat_build import build_flat
 
-    with get_registry().timer("build.vectorized"):
-        tree, trace = build_tree_vectorized(points, config, rng=rng, place=place)
-    record_build_metrics(trace, n_points=tree.n_points, builder="vectorized")
-    return tree, trace
+    flat, trace = build_flat(points, config, rng=rng, place=place)
+    return KdTree.from_flat(flat), trace
 
 
 def _build_legacy(
@@ -236,6 +222,8 @@ def place_points(tree: KdTree, *, trace: BuildTrace | None = None) -> None:
     for leaf_index, members in zip(group_leaves, groups):
         bucket_id = tree.nodes[int(leaf_index)].bucket_id
         tree.buckets[bucket_id] = members.astype(np.int64)
+    # The descent above cached a flat view over the old buckets.
+    tree.invalidate_caches()
 
     if trace is not None:
         trace.placement_traversals += tree.n_points

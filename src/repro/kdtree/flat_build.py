@@ -39,12 +39,12 @@ import numpy as np
 from repro.geometry import PointCloud
 from repro.kdtree.config import KdTreeConfig
 from repro.kdtree.engine import FlatKdTree
-from repro.kdtree.node import NO_NODE, KdNode, KdTree
+from repro.kdtree.node import NO_NODE
 
 if TYPE_CHECKING:
     from repro.kdtree.build import BuildTrace
 
-__all__ = ["build_flat", "build_tree_vectorized"]
+__all__ = ["build_flat"]
 
 
 def _as_xyz(points) -> np.ndarray:
@@ -155,7 +155,7 @@ class _TreeArrays:
 
     __slots__ = (
         "dim", "threshold", "left", "right", "is_leaf", "bucket_id",
-        "parent", "depth", "sort_sizes", "levels", "n_buckets", "pre",
+        "sort_sizes", "levels", "n_buckets", "pre",
     )
 
 
@@ -190,14 +190,11 @@ def _number_preorder(levels: list[_Level]) -> _TreeArrays:
     out.right = np.full(n_nodes, NO_NODE, dtype=np.int64)
     out.is_leaf = np.zeros(n_nodes, dtype=bool)
     out.bucket_id = np.full(n_nodes, NO_NODE, dtype=np.int64)
-    out.parent = np.full(n_nodes, NO_NODE, dtype=np.int64)
-    out.depth = np.zeros(n_nodes, dtype=np.int64)
 
     sizes_by_pre = np.zeros(n_nodes, dtype=np.int64)
     for li, level in enumerate(levels):
         p = pre[li]
         out.is_leaf[p] = level.leaf
-        out.depth[p] = li
         sizes_by_pre[p] = level.sizes
         internal = ~level.leaf
         if internal.any():
@@ -206,8 +203,6 @@ def _number_preorder(levels: list[_Level]) -> _TreeArrays:
             out.threshold[pi] = level.thresholds
             out.left[pi] = pre[li + 1][0::2]
             out.right[pi] = pre[li + 1][1::2]
-            out.parent[pre[li + 1][0::2]] = pi
-            out.parent[pre[li + 1][1::2]] = pi
 
     leaf_pre = np.sort(np.flatnonzero(out.is_leaf))
     out.bucket_id[leaf_pre] = np.arange(leaf_pre.size)
@@ -285,7 +280,7 @@ def _place(arrays: _TreeArrays, xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _build_arrays(
     points, config: KdTreeConfig | None, rng: np.random.Generator | None, place: bool
 ):
-    """Shared pipeline: sample -> construct -> renumber -> place."""
+    """The pipeline: sample -> construct -> renumber -> place."""
     from repro.kdtree.build import BuildTrace
 
     config = config or KdTreeConfig()
@@ -327,6 +322,8 @@ def build_flat(
     The fastest way from a frame to a queryable engine structure;
     output arrays equal ``FlatKdTree.from_tree(build_tree(...))`` for
     the same inputs.  With ``place=False`` the buckets are empty.
+    The default :func:`~repro.kdtree.build.build_tree` is this build
+    plus :meth:`KdTree.from_flat <repro.kdtree.node.KdTree.from_flat>`.
     """
     from repro.kdtree.build import record_build_metrics
     from repro.obs import get_registry
@@ -347,58 +344,3 @@ def build_flat(
     record_build_metrics(trace, n_points=xyz.shape[0], builder="vectorized")
     return flat, trace
 
-
-def build_tree_vectorized(
-    points,
-    config: KdTreeConfig | None = None,
-    *,
-    rng: np.random.Generator | None = None,
-    place: bool = True,
-) -> tuple[KdTree, "BuildTrace"]:
-    """Vectorized :func:`~repro.kdtree.build.build_tree` counterpart.
-
-    Runs the direct-to-flat pipeline, then materializes the (small)
-    ``KdNode`` list for the object-graph consumers — searches, arch
-    models, serialization.  The prebuilt flat layout is attached to the
-    tree, so the first batched query pays no ``from_tree`` conversion.
-    """
-    xyz, arrays, offsets, members, trace = _build_arrays(points, config, rng, place)
-    tree = KdTree(points=xyz)
-    parent = arrays.parent.tolist()
-    depth = arrays.depth.tolist()
-    is_leaf = arrays.is_leaf.tolist()
-    dim = arrays.dim.tolist()
-    threshold = arrays.threshold.tolist()
-    left = arrays.left.tolist()
-    right = arrays.right.tolist()
-    bucket_id = arrays.bucket_id.tolist()
-    nodes = tree.nodes
-    for i in range(arrays.dim.shape[0]):
-        if is_leaf[i]:
-            nodes.append(
-                KdNode(index=i, parent=parent[i], depth=depth[i], bucket_id=bucket_id[i])
-            )
-        else:
-            nodes.append(
-                KdNode(
-                    index=i, parent=parent[i], depth=depth[i], dim=dim[i],
-                    threshold=threshold[i], left=left[i], right=right[i],
-                )
-            )
-    if place:
-        tree.buckets = np.split(members, offsets[1:-1])
-    else:
-        tree.buckets = [np.empty(0, dtype=np.int64) for _ in range(arrays.n_buckets)]
-
-    tree._flat = FlatKdTree.from_arrays(
-        points=xyz,
-        dim=arrays.dim,
-        threshold=arrays.threshold,
-        left=arrays.left,
-        right=arrays.right,
-        is_leaf=arrays.is_leaf,
-        bucket_id=arrays.bucket_id,
-        bucket_offsets=offsets,
-        bucket_members=members,
-    )
-    return tree, trace

@@ -19,7 +19,6 @@ sorted).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,17 +43,6 @@ class UpdateTrace:
         """Total elements sorted while rebuilding subtrees."""
         return int(sum(self.sort_sizes))
 
-    @property
-    def total_sorted_elements(self) -> int:
-        """Deprecated: renamed to :attr:`sorted_elements`."""
-        warnings.warn(
-            "UpdateTrace.total_sorted_elements is deprecated; use "
-            "UpdateTrace.sorted_elements (or as_dict()['sorted_elements'])",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.sorted_elements
-
     def as_dict(self) -> dict:
         """Flat scalar view (the repo-wide stats convention)."""
         return {
@@ -64,18 +52,6 @@ class UpdateTrace:
             "n_sorts": len(self.sort_sizes),
             "sorted_elements": self.sorted_elements,
         }
-
-
-def _route_batch(tree: KdTree, xyz: np.ndarray, *, batched: bool) -> np.ndarray:
-    """Leaf node index for every row of ``xyz``.
-
-    The batched fast path reuses the engine's level-synchronous descent
-    (one gather + compare per level for the whole frame); the fallback
-    is the per-node masked walk.  Both return identical leaf ids.
-    """
-    if batched:
-        return tree.flat().descend_fast(xyz)
-    return tree.descend_batch(xyz)
 
 
 def _group_by_leaf(leaf_ids: np.ndarray, n_nodes: int) -> dict[int, np.ndarray]:
@@ -101,17 +77,11 @@ def _group_by_leaf(leaf_ids: np.ndarray, n_nodes: int) -> dict[int, np.ndarray]:
     return {int(leaf): members for leaf, members in zip(uniques, groups)}
 
 
-def reuse_tree(
-    tree: KdTree,
-    new_points: PointCloud | np.ndarray,
-    *,
-    batched: bool = True,
-) -> KdTree:
+def reuse_tree(tree: KdTree, new_points: PointCloud | np.ndarray) -> KdTree:
     """The *static* strategy: same thresholds, re-bucket the new frame.
 
     This is the baseline Figure 10 shows diverging: as the scene moves,
-    a frozen partition fits the data worse and worse.  ``batched``
-    selects the level-parallel placement fast path.
+    a frozen partition fits the data worse and worse.
     """
     xyz = _as_points(new_points)
     new_tree = KdTree(points=xyz)
@@ -119,7 +89,7 @@ def reuse_tree(
     new_tree.buckets = [np.empty(0, dtype=np.int64) for _ in tree.buckets]
     # Thresholds are unchanged, so route through the *old* tree's flat
     # view — usually already cached by the previous frame's queries.
-    leaf_ids = _route_batch(tree, xyz, batched=batched)
+    leaf_ids = tree.flat().descend_fast(xyz)
     for leaf, members in _group_by_leaf(leaf_ids, new_tree.n_nodes).items():
         new_tree.buckets[new_tree.nodes[leaf].bucket_id] = members
     return new_tree
@@ -132,15 +102,13 @@ def update_tree(
     *,
     lower_bound: int | None = None,
     upper_bound: int | None = None,
-    batched: bool = True,
 ) -> tuple[KdTree, UpdateTrace]:
     """Incremental update: re-bucket, then merge/split out-of-bound leaves.
 
     Bounds default to half and twice the configured bucket capacity,
-    the operating point of the paper's Figure 10.  ``batched`` routes
-    the whole new frame through the engine's level-parallel descent
-    (identical leaf assignment, one kernel per level); ``False`` keeps
-    the per-node masked walk.
+    the operating point of the paper's Figure 10.  The whole new frame
+    is routed through the old tree's flat view in one level-parallel
+    descent (:meth:`~repro.kdtree.engine.FlatKdTree.descend_fast`).
     """
     config = config or KdTreeConfig()
     lower = lower_bound if lower_bound is not None else config.bucket_capacity // 2
@@ -150,7 +118,7 @@ def update_tree(
 
     with get_registry().timer("build.incremental"):
         new_tree, trace = _update_tree(
-            tree, new_points, config, lower=lower, upper=upper, batched=batched
+            tree, new_points, config, lower=lower, upper=upper
         )
     _record_update_metrics(trace, n_points=new_tree.n_points)
     return new_tree, trace
@@ -176,13 +144,12 @@ def _update_tree(
     *,
     lower: int,
     upper: int,
-    batched: bool,
 ) -> tuple[KdTree, UpdateTrace]:
     xyz = _as_points(new_points)
     trace = UpdateTrace()
 
     # Step 1: place the new frame through the old structure.
-    leaf_ids = _route_batch(tree, xyz, batched=batched)
+    leaf_ids = tree.flat().descend_fast(xyz)
     points_by_node = _group_by_leaf(leaf_ids, tree.n_nodes)
 
     # Subtree point counts, bottom-up.

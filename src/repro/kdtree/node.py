@@ -6,6 +6,11 @@ indicator, and parent/child pointers; each leaf points at a bucket of
 points.  Nodes live in a flat list and reference each other by index —
 the software analogue of the word-addressable tree cache — which lets
 the architecture models map nodes directly onto cache words and banks.
+
+The arrays form of the same tree is
+:class:`~repro.kdtree.engine.FlatKdTree` (:meth:`KdTree.flat`), and
+:meth:`KdTree.from_flat` is the one way back: builders, snapshots and
+sessions keep the arrays and derive the node view from them.
 """
 
 from __future__ import annotations
@@ -78,8 +83,51 @@ class KdTree:
         self.points = np.asarray(self.points, dtype=np.float64)
         if self.points.ndim != 2 or self.points.shape[1] != 3:
             raise ValueError("tree points must have shape (N, 3)")
-        self._arrays: _NodeArrays | None = None
         self._flat = None
+
+    @classmethod
+    def from_flat(cls, flat) -> "KdTree":
+        """The node view of a :class:`~repro.kdtree.engine.FlatKdTree`.
+
+        The one place ``KdNode`` objects are made from arrays.  Parent
+        and depth follow from ``left``/``right``; leaves keep the
+        ``KdNode`` defaults (``dim=-1``, ``threshold=nan``); each bucket
+        is a view of ``flat.bucket_members``; and ``flat`` itself is
+        attached as the cached :meth:`flat`, so the node view costs no
+        second conversion.
+        """
+        tree = cls(points=flat.points)
+        is_leaf = flat.is_leaf
+        parent = np.full(is_leaf.shape[0], NO_NODE, dtype=np.int64)
+        depth = np.zeros(is_leaf.shape[0], dtype=np.int64)
+        frontier = np.array([cls.ROOT])
+        level = 0
+        while frontier.size:
+            depth[frontier] = level
+            frontier = frontier[~is_leaf[frontier]]
+            parent[flat.left[frontier]] = frontier
+            parent[flat.right[frontier]] = frontier
+            frontier = np.concatenate((flat.left[frontier], flat.right[frontier]))
+            level += 1
+
+        columns = zip(
+            is_leaf.tolist(), parent.tolist(), depth.tolist(), flat.dim.tolist(),
+            flat.threshold.tolist(), flat.left.tolist(), flat.right.tolist(),
+            flat.bucket_id.tolist(),
+        )
+        for i, (leaf, up, d, dim, threshold, left, right, bucket) in enumerate(columns):
+            if leaf:
+                node = KdNode(index=i, parent=up, depth=d, bucket_id=bucket)
+            else:
+                node = KdNode(index=i, parent=up, depth=d, dim=dim,
+                              threshold=threshold, left=left, right=right)
+            tree.nodes.append(node)
+        bounds = flat.bucket_offsets.tolist()
+        tree.buckets = [
+            flat.bucket_members[a:b] for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+        tree._flat = flat
+        return tree
 
     # ------------------------------------------------------------------
     # Introspection
@@ -139,22 +187,10 @@ class KdTree:
 
     def descend_batch(self, points: np.ndarray) -> np.ndarray:
         """Leaf node index for each of ``(M, 3)`` points, vectorized."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        arrays = self._node_arrays()
-        current = np.zeros(points.shape[0], dtype=np.int64)
-        active = ~arrays.is_leaf[current]
-        while active.any():
-            idx = current[active]
-            dims = arrays.dim[idx]
-            thresholds = arrays.threshold[idx]
-            go_left = points[active, dims] <= thresholds
-            current[active] = np.where(go_left, arrays.left[idx], arrays.right[idx])
-            active = ~arrays.is_leaf[current]
-        return current
+        return self.flat().descend(points)
 
     def invalidate_caches(self) -> None:
         """Must be called after structural edits (incremental update)."""
-        self._arrays = None
         self._flat = None
 
     def flat(self):
@@ -168,37 +204,3 @@ class KdTree:
 
             self._flat = FlatKdTree.from_tree(self)
         return self._flat
-
-    def _node_arrays(self) -> "_NodeArrays":
-        if self._arrays is None:
-            self._arrays = _NodeArrays.from_nodes(self.nodes)
-        return self._arrays
-
-
-@dataclass
-class _NodeArrays:
-    """Structure-of-arrays mirror of the node list, for vectorized descent."""
-
-    dim: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    is_leaf: np.ndarray
-
-    @classmethod
-    def from_nodes(cls, nodes: list[KdNode]) -> "_NodeArrays":
-        n = len(nodes)
-        dim = np.zeros(n, dtype=np.int64)
-        threshold = np.zeros(n, dtype=np.float64)
-        left = np.full(n, NO_NODE, dtype=np.int64)
-        right = np.full(n, NO_NODE, dtype=np.int64)
-        is_leaf = np.zeros(n, dtype=bool)
-        for node in nodes:
-            i = node.index
-            is_leaf[i] = node.is_leaf
-            if not node.is_leaf:
-                dim[i] = node.dim
-                threshold[i] = node.threshold
-                left[i] = node.left
-                right[i] = node.right
-        return cls(dim, threshold, left, right, is_leaf)

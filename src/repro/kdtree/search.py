@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.geometry import PointCloud
 from repro.kdtree.node import KdTree
-from repro.registry import Registry, warn_deprecated_alias
+from repro.registry import Registry
 
 PAD_INDEX = -1
 
@@ -171,8 +171,6 @@ def knn_bbf(
     queries,
     k: int,
     config: BbfConfig | None = None,
-    *,
-    max_leaves: int | None = None,
 ) -> QueryResult:
     """Best-bin-first search with a bounded leaf budget (FLANN-style).
 
@@ -183,22 +181,9 @@ def knn_bbf(
     and the fully backtracking exact search.  This is the configuration
     behind the paper's FLANN CPU baseline (Table 1's 91% "Approx. k-d
     Tree" row).
-
-    The bare ``max_leaves`` keyword is a deprecated alias kept for old
-    call sites; pass a :class:`BbfConfig` like the other backends.
     """
     import heapq
 
-    if max_leaves is not None:
-        # stacklevel=3: warn -> warn_deprecated_alias -> knn_bbf -> caller.
-        warn_deprecated_alias(
-            "knn_bbf(..., max_leaves=...)",
-            "BbfConfig(max_leaves=...)",
-            stacklevel=3,
-        )
-        if config is not None:
-            raise ValueError("pass either config or the deprecated max_leaves, not both")
-        config = BbfConfig(max_leaves=max_leaves)
     config = config or BbfConfig()
     max_leaves = config.max_leaves
 

@@ -7,11 +7,12 @@ engine's structure-of-arrays layout, plus caller-owned side arrays
 this way), under a versioned header.  It is the single currency every
 snapshot path consumes:
 
-* **disk** — :meth:`Snapshot.save` / :meth:`Snapshot.load` write the
-  ``.npz`` format historically produced by
-  :func:`repro.kdtree.serialize.save_flat` (which now delegates here
-  and is deprecated), so old snapshot files keep loading and new files
-  keep loading in old readers.
+* **disk** — :meth:`Snapshot.save` / :meth:`Snapshot.load` write and
+  read one ``.npz`` file.  A node-and-pointer
+  :class:`~repro.kdtree.node.KdTree` is saved as the same file
+  (:func:`save_tree`, its flat view) and loaded back through
+  :meth:`KdTree.from_flat <repro.kdtree.node.KdTree.from_flat>`
+  (:func:`load_tree`).
 * **shared memory** — :meth:`Snapshot.to_payload` flattens the
   snapshot into one ``{name: array}`` dict that
   :mod:`repro.serve.shm` lays out in a ``multiprocessing.shared_memory``
@@ -32,14 +33,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.kdtree.engine import FlatKdTree
+from repro.kdtree.node import KdTree
 
-#: Version stamped into every payload header.  Version 1 is the PR 5
-#: ``save_flat`` layout; this module reads and writes it unchanged so
-#: snapshots interoperate across the rename.
+#: Version stamped into every payload header.
 FORMAT_VERSION = 1
 
-#: Header key carrying the format version (kept from the original
-#: ``save_flat`` payload for backward/forward compatibility).
+#: Header key carrying the format version.
 _VERSION_KEY = "flat_version"
 
 #: The structural arrays of a FlatKdTree, in constructor order.
@@ -140,7 +139,7 @@ class Snapshot:
     def load(
         cls, path: str | Path | io.IOBase, *, mmap_mode: str | None = None
     ) -> "Snapshot":
-        """Read a snapshot written by :meth:`save` (or legacy ``save_flat``).
+        """Read a snapshot written by :meth:`save`.
 
         ``mmap_mode`` (default ``None``: read everything eagerly, the
         historical behavior) opts into lazy page-in: ``"r"`` maps each
@@ -175,6 +174,16 @@ class Snapshot:
     def nbytes(self) -> int:
         """Total payload bytes (what a shared-memory segment must hold)."""
         return sum(a.nbytes for a in self.to_payload().values())
+
+
+def save_tree(tree: KdTree, path: str | Path | io.IOBase) -> None:
+    """Write ``tree`` as the snapshot of its flat view (file or stream)."""
+    Snapshot.from_flat(tree.flat()).save(path)
+
+
+def load_tree(path: str | Path | io.IOBase) -> KdTree:
+    """Read a snapshot file back as a node tree."""
+    return KdTree.from_flat(Snapshot.load(path).to_flat())
 
 
 #: Local-file-header prelude of a zip member: fixed 30 bytes, then the

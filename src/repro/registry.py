@@ -11,23 +11,16 @@ than once.  :class:`Registry` is the single implementation; every knob
 now resolves through it and rejects unknown names with the same
 ``unknown <kind> '<name>'; available: a, b, c`` message listing the full
 set of canonical choices (plus aliases when any exist).
-
-Deprecated-alias folding (``save_flat``/``load_flat``, bare
-``max_leaves``) goes through :func:`warn_deprecated_alias`, so each
-folding event emits exactly one :class:`DeprecationWarning` attributed
-to the caller's call site.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-import warnings
 from typing import Callable, Generic, Iterator, TypeVar
 
 __all__ = [
     "Registry",
-    "warn_deprecated_alias",
 ]
 
 T = TypeVar("T")
@@ -136,18 +129,3 @@ class Registry(Generic[T]):
             msg += f" (aliases: {folded})"
         return ValueError(msg)
 
-
-def warn_deprecated_alias(
-    old: str, new: str, *, stacklevel: int = 3, extra: str = ""
-) -> None:
-    """Emit the single DeprecationWarning for a deprecated-alias fold.
-
-    ``stacklevel`` should land the warning on the *caller* of the
-    deprecated surface, not on repro internals — the test suite escalates
-    DeprecationWarnings attributed to ``repro.*`` into errors, which is
-    exactly what keeps internal code off deprecated paths.
-    """
-    msg = f"{old} is deprecated; use {new} instead"
-    if extra:
-        msg += f" ({extra})"
-    warnings.warn(msg, DeprecationWarning, stacklevel=stacklevel)

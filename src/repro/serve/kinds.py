@@ -44,6 +44,24 @@ def as_queries(queries) -> np.ndarray:
     return np.ascontiguousarray(q)
 
 
+def as_reference(points) -> np.ndarray:
+    """Reference points as a contiguous float64 ``(N, 3)`` array, or ``ValueError``.
+
+    The serving boundary's check on every cloud it indexes: three
+    coordinates per point, all finite.  One NaN or infinite point would
+    make its bucket's centre non-finite, and with it every distance
+    scored in that bucket.
+    """
+    xyz = np.asarray(points, dtype=np.float64)
+    if xyz.ndim != 2 or xyz.shape[1] != 3:
+        raise ValueError("reference points must have shape (N, 3)")
+    if not np.isfinite(xyz).all():
+        raise ValueError(
+            "reference points must have finite coordinates (no NaN/inf)"
+        )
+    return np.ascontiguousarray(xyz)
+
+
 @dataclass(frozen=True)
 class ServeResponse:
     """One answered request, with the conditions it was answered under.

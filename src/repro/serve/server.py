@@ -60,7 +60,10 @@ segments), and swaps it in atomically.  In-flight jobs keep the
 generation they captured at batch formation; a superseded generation's
 execution resources are retired only when its last in-flight job
 drains (deferred unlink), so no worker ever faces a segment that
-vanished mid-query.
+vanished mid-query.  The constructor and ``update_reference`` check the
+cloud first (:func:`~repro.serve.kinds.as_reference`): a non-finite
+point is refused with ``ValueError``, and a refused handoff leaves the
+current generation serving.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ from repro.serve.kinds import (
     RadiusServeResponse,
     ServeResponse,
     as_queries,
+    as_reference,
 )
 from repro.serve.sharding import ShardPlan, ShardState, make_plan
 
@@ -163,9 +167,7 @@ class KnnServer:
     ):
         self.config = config or ServeConfig()
         self._clock = clock
-        xyz = np.ascontiguousarray(np.asarray(reference, dtype=np.float64))
-        if xyz.ndim != 2 or xyz.shape[1] != 3:
-            raise ValueError("reference must have shape (N, 3)")
+        xyz = as_reference(reference)
         plan = make_plan(xyz, self.config.n_shards, self.config.sharding)
         shards = tuple(
             ShardState(tree=build_flat(xyz[ids], self.config.tree)[0],
@@ -372,9 +374,7 @@ class KnnServer:
         retired once its last in-flight job drains.  Returns a summary
         (new generation, shard sizes, rebuild wall time).
         """
-        xyz = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
-        if xyz.ndim != 2 or xyz.shape[1] != 3:
-            raise ValueError("points must have shape (N, 3)")
+        xyz = as_reference(points)
         started = self._clock()
         plan = make_plan(xyz, self.config.n_shards, self.config.sharding)
         obs = get_registry()

@@ -21,11 +21,13 @@ bounded budget:
   (:meth:`~repro.serve.server.KnnServer.update_reference_shards`).
   ``build.incremental.*`` counters prove no rebuild happened.
 * **Spill / restore** — idle sessions are evicted: the session's flat
-  tree *and* its node-based structure (still needed for future
-  incremental updates) are written as one
-  :class:`~repro.kdtree.snapshot.Snapshot`; the next frame or query
-  restores the flat arrays verbatim, so a restored session answers
-  bit-identically to one that was never evicted.
+  tree alone is written as one :class:`~repro.kdtree.snapshot.Snapshot`;
+  the next frame or query loads those arrays verbatim, rebuilds the
+  node view over them with
+  :meth:`KdTree.from_flat <repro.kdtree.node.KdTree.from_flat>` (what
+  later incremental updates read), and boots the server as a create
+  does, so a restored session answers bit-identically to one that was
+  never evicted.
 * **Evict** — residency is bounded by session count and optionally by
   bytes; victims are chosen by a registered eviction policy (``"lru"``
   or ``"cost-aware"``), never a session with in-flight rows.
@@ -56,23 +58,18 @@ from repro.icp.icp import IcpConfig, icp_register
 from repro.kdtree.build import build_tree
 from repro.kdtree.incremental import update_tree
 from repro.kdtree.node import KdTree
-from repro.kdtree.serialize import tree_from_arrays, tree_to_arrays
 from repro.kdtree.snapshot import FLAT_FIELDS, Snapshot
 from repro.eviction import EVICTION
 from repro.obs import get_registry
 from repro.serve.config import ServeConfig
 from repro.serve.errors import Overloaded
-from repro.serve.kinds import ServeResponse, as_queries
+from repro.serve.kinds import ServeResponse, as_queries, as_reference
 from repro.serve.server import KnnServer
 from repro.serve.sharding import ShardState
 
 #: Tenant ids become metric names and spill file names, so keep them in
 #: the same safe alphabet as shared-memory prefixes.
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
-
-#: Prefix under which the node-based tree arrays ride inside a spill
-#: snapshot's extras (``tree_points``, ``tree_parent``, ...).
-_TREE_PREFIX = "tree_"
 
 #: The shared eviction-policy registry (``"lru"`` / ``"cost-aware"``),
 #: re-exported from :mod:`repro.eviction` where the blocked index also
@@ -272,9 +269,7 @@ class SessionManager:
         Returns a summary: whether the session was created or restored,
         the new generation, and the incremental-update trace.
         """
-        xyz = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
-        if xyz.ndim != 2 or xyz.shape[1] != 3:
-            raise ValueError("points must have shape (N, 3)")
+        xyz = as_reference(points)
         with self._lock:
             self._check_open()
             now = self._clock()
@@ -317,18 +312,23 @@ class SessionManager:
                 f"starting alphanumeric, got {tenant!r}"
             )
         tree, _ = build_tree(xyz, self.config.serve.tree)
-        shard = _shard_for(tree)
-        server = KnnServer.from_shards(
-            (shard,), self._session_serve, clock=self._clock
-        )
+        server, nbytes = self._boot(tree)
         session = Session(
             tenant=tenant, state="resident", tree=tree, server=server,
-            created_at=now, last_active=now, nbytes=_flat_nbytes(shard.tree),
+            created_at=now, last_active=now, nbytes=nbytes,
         )
         self._sessions[tenant] = session
         self._count("serve.sessions.created", 1)
         self._gauge_resident()
         return session
+
+    def _boot(self, tree: KdTree) -> tuple[KnnServer, int]:
+        """An unsharded server over ``tree``, and its flat tree's bytes."""
+        shard = _shard_for(tree)
+        server = KnnServer.from_shards(
+            (shard,), self._session_serve, clock=self._clock
+        )
+        return server, _flat_nbytes(shard.tree)
 
     def _register(
         self, session: Session, xyz: np.ndarray
@@ -429,25 +429,13 @@ class SessionManager:
         session = self._sessions[tenant]
         if session.resident:
             return session, False
-        snap = Snapshot.load(self._spill_path(tenant))
-        tree_arrays = {
-            name[len(_TREE_PREFIX):]: value
-            for name, value in snap.extras.items()
-            if name.startswith(_TREE_PREFIX)
-        }
-        session.tree = tree_from_arrays(tree_arrays)
-        # Serve from the snapshot's flat arrays *verbatim* — the
-        # restored shard is byte-for-byte the one that was spilled, so
+        # The node view sits over the spilled arrays verbatim, so the
+        # restored shard is byte-for-byte the one that was spilled and
         # answers match a never-evicted twin exactly.
-        shard = ShardState(
-            tree=snap.to_flat(),
-            global_ids=np.asarray(snap.extras["global_ids"], dtype=np.int64),
-        )
-        session.server = KnnServer.from_shards(
-            (shard,), self._session_serve, clock=self._clock
-        )
+        snap = Snapshot.load(self._spill_path(tenant))
+        session.tree = KdTree.from_flat(snap.to_flat())
+        session.server, session.nbytes = self._boot(session.tree)
         session.state = "resident"
-        session.nbytes = _flat_nbytes(shard.tree)
         session.last_active = now
         self._count("serve.sessions.restored", 1)
         self._gauge_resident()
@@ -455,11 +443,7 @@ class SessionManager:
         return session, True
 
     def _spill(self, session: Session) -> None:
-        flat = session.tree.flat()
-        extras = {"global_ids": np.arange(flat.points.shape[0], dtype=np.int64)}
-        for name, value in tree_to_arrays(session.tree).items():
-            extras[_TREE_PREFIX + name] = value
-        Snapshot.from_flat(flat, extra=extras).save(
+        Snapshot.from_flat(session.tree.flat()).save(
             self._spill_path(session.tenant)
         )
         session.server.close()

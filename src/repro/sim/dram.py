@@ -26,7 +26,6 @@ sequential-vs-random contrast the paper's results rest on.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.obs import get_registry
@@ -347,14 +346,3 @@ class DramModel:
     def reset_stats(self) -> None:
         """Clear traffic counters but keep bank state."""
         self.stats = DramStats()
-
-    @property
-    def busy_cycles(self) -> int:
-        """Deprecated: read ``model.stats.busy_cycles`` instead."""
-        warnings.warn(
-            "DramModel.busy_cycles is deprecated; use "
-            "DramModel.stats.busy_cycles (or stats.as_dict())",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.stats.busy_cycles

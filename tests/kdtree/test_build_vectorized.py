@@ -5,8 +5,7 @@ bit-identical to the legacy builder under the shared tie-break rule
 (equal coordinates go left, stable sample order): same tree shape,
 same bucket membership in the same order, same ``BuildTrace`` totals.
 These tests pin that contract across seeds, degenerate geometry, and
-configuration corners, plus the batched incremental fast path and the
-``build.*`` observability counters.
+configuration corners, plus the ``build.*`` observability counters.
 """
 
 import json
@@ -23,11 +22,9 @@ from repro.kdtree import (
     KdTreeConfig,
     build_flat,
     build_tree,
-    build_tree_vectorized,
     check_tree,
     update_tree,
 )
-from repro.kdtree.incremental import reuse_tree
 
 
 def legacy_config(**kwargs) -> KdTreeConfig:
@@ -145,7 +142,7 @@ class TestBuildFlat:
 
     def test_attached_flat_reused_by_tree(self):
         cloud = gaussian_clusters(1_000, rng=np.random.default_rng(10))
-        tree, _ = build_tree_vectorized(cloud, KdTreeConfig(bucket_capacity=32))
+        tree, _ = build_tree(cloud, vectorized_config(bucket_capacity=32))
         assert tree.flat() is tree.flat()
         assert_flats_identical(tree.flat(), FlatKdTree.from_tree(tree))
 
@@ -182,33 +179,6 @@ class TestTraceSerialization:
         extra = gaussian_clusters(300, rng=np.random.default_rng(17)).xyz
         _, trace = update_tree(tree, extra, KdTreeConfig(bucket_capacity=32))
         json.dumps(trace.as_dict())
-
-
-class TestIncrementalBatched:
-    def setup_method(self):
-        self.config = KdTreeConfig(bucket_capacity=32)
-        self.cloud = gaussian_clusters(2_000, rng=np.random.default_rng(18))
-        self.tree, _ = build_tree(self.cloud, self.config)
-        self.extra = gaussian_clusters(400, rng=np.random.default_rng(19)).xyz
-
-    def test_update_tree_batched_matches_scalar(self):
-        fast, trace_f = update_tree(self.tree, self.extra, self.config, batched=True)
-        slow, trace_s = update_tree(self.tree, self.extra, self.config, batched=False)
-        assert_trees_identical(fast, slow)
-        assert trace_f.as_dict() == trace_s.as_dict()
-
-    def test_reuse_tree_batched_matches_scalar(self):
-        fast = reuse_tree(self.tree, self.extra, batched=True)
-        slow = reuse_tree(self.tree, self.extra, batched=False)
-        assert_trees_identical(fast, slow)
-
-    def test_chained_updates_stay_identical(self):
-        fast, slow = self.tree, self.tree
-        for seed in (20, 21):
-            chunk = gaussian_clusters(250, rng=np.random.default_rng(seed)).xyz
-            fast, _ = update_tree(fast, chunk, self.config, batched=True)
-            slow, _ = update_tree(slow, chunk, self.config, batched=False)
-        assert_trees_identical(fast, slow)
 
 
 class TestForestBuilder:

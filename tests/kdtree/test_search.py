@@ -122,15 +122,3 @@ class TestBbf:
         tree, _, queries = setup
         with pytest.raises(ValueError):
             knn_bbf(tree, queries, k=5, config=BbfConfig(max_leaves=0))
-
-    def test_deprecated_max_leaves_keyword(self, setup):
-        tree, _, queries = setup
-        with pytest.warns(DeprecationWarning):
-            old = knn_bbf(tree, queries, k=5, max_leaves=2)
-        new = knn_bbf(tree, queries, k=5, config=BbfConfig(max_leaves=2))
-        assert np.array_equal(old.indices, new.indices)
-
-    def test_rejects_config_and_deprecated_keyword(self, setup):
-        tree, _, queries = setup
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            knn_bbf(tree, queries, k=5, config=BbfConfig(), max_leaves=2)

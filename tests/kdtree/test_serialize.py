@@ -1,4 +1,8 @@
-"""Unit tests for k-d tree serialization."""
+"""Unit tests for k-d tree serialization.
+
+A node tree is saved as the :class:`~repro.kdtree.snapshot.Snapshot` of
+its flat view and comes back through ``KdTree.from_flat``.
+"""
 
 import io
 
@@ -7,21 +11,19 @@ import pytest
 
 from repro.datasets.synthetic import uniform_cloud
 from repro.kdtree import (
+    FlatKdTree,
+    KdTree,
     KdTreeConfig,
+    Snapshot,
     build_flat,
     build_tree,
     check_tree,
-    flat_from_arrays,
-    flat_to_arrays,
     knn_approx,
     knn_exact_batched,
-    load_flat,
     load_tree,
-    save_flat,
     save_tree,
-    tree_from_arrays,
-    tree_to_arrays,
 )
+from repro.kdtree.snapshot import FLAT_FIELDS
 
 
 @pytest.fixture
@@ -31,39 +33,38 @@ def tree(rng):
     return tree
 
 
+def _node_view(tree: KdTree) -> KdTree:
+    return KdTree.from_flat(FlatKdTree.from_tree(tree))
+
+
 class TestArrays:
     def test_roundtrip_preserves_structure(self, tree):
-        clone = tree_from_arrays(tree_to_arrays(tree))
+        clone = _node_view(tree)
         check_tree(clone)
         assert clone.n_nodes == tree.n_nodes
         assert clone.n_leaves == tree.n_leaves
         for a, b in zip(tree.nodes, clone.nodes):
-            assert (a.dim, a.left, a.right, a.bucket_id) == (
-                b.dim, b.left, b.right, b.bucket_id
+            assert (a.parent, a.depth, a.dim, a.left, a.right, a.bucket_id) == (
+                b.parent, b.depth, b.dim, b.left, b.right, b.bucket_id
             )
             assert a.threshold == b.threshold or (
                 np.isnan(a.threshold) and np.isnan(b.threshold)
             )
 
     def test_roundtrip_preserves_search(self, tree, rng):
-        clone = tree_from_arrays(tree_to_arrays(tree))
+        clone = _node_view(tree)
         queries = uniform_cloud(50, rng=rng).xyz
         original = knn_approx(tree, queries, 5)
         restored = knn_approx(clone, queries, 5)
         assert np.array_equal(original.indices, restored.indices)
 
-    def test_version_check(self, tree):
-        arrays = tree_to_arrays(tree)
-        arrays["version"] = np.array([99], dtype=np.int64)
-        with pytest.raises(ValueError, match="version"):
-            tree_from_arrays(arrays)
-
     def test_empty_bucket_roundtrip(self, rng):
         # Degenerate data produces empty buckets; they must survive.
         points = np.tile([[0.0, 0.0, 0.0]], (100, 1))
         degenerate, _ = build_tree(points, KdTreeConfig(bucket_capacity=16))
-        clone = tree_from_arrays(tree_to_arrays(degenerate))
+        clone = _node_view(degenerate)
         assert int(clone.bucket_sizes().sum()) == 100
+        assert np.array_equal(clone.bucket_sizes(), degenerate.bucket_sizes())
 
 
 class TestFileIo:
@@ -74,40 +75,44 @@ class TestFileIo:
         clone = load_tree(buffer)
         check_tree(clone)
         assert clone.n_points == tree.n_points
+        assert clone.nodes == tree.nodes
 
     def test_save_load_path(self, tree, tmp_path):
         path = tmp_path / "tree.npz"
         save_tree(tree, path)
         clone = load_tree(path)
         assert clone.n_nodes == tree.n_nodes
+        for a, b in zip(tree.buckets, clone.buckets):
+            assert np.array_equal(a, b)
 
 
 class TestFlatSnapshots:
+    """A tree file is the snapshot of the tree's flat view."""
+
     @pytest.fixture
     def flat(self, rng):
         cloud = uniform_cloud(1_500, rng=rng)
         flat, _ = build_flat(cloud, KdTreeConfig(bucket_capacity=64))
         return flat
 
+    @staticmethod
+    def _assert_bit_identical(a, b):
+        for name in FLAT_FIELDS:
+            assert getattr(a, name).dtype == getattr(b, name).dtype, name
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
     def test_arrays_roundtrip_bit_identical(self, flat):
-        clone = flat_from_arrays(flat_to_arrays(flat))
-        for name in ("points", "dim", "threshold", "left", "right",
-                     "is_leaf", "bucket_id", "bucket_offsets", "bucket_members"):
-            a, b = getattr(flat, name), getattr(clone, name)
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b), name
+        self._assert_bit_identical(FlatKdTree.from_tree(KdTree.from_flat(flat)), flat)
 
     def test_file_roundtrip_bit_identical(self, flat, tmp_path):
-        path = tmp_path / "flat.npz"
-        save_flat(flat, path)
-        clone = load_flat(path)
-        for name in ("points", "threshold", "bucket_members"):
-            assert np.array_equal(getattr(flat, name), getattr(clone, name))
+        path = tmp_path / "tree.npz"
+        save_tree(KdTree.from_flat(flat), path)
+        self._assert_bit_identical(load_tree(path).flat(), flat)
 
     def test_loaded_flat_answers_identically(self, flat, rng, tmp_path):
-        path = tmp_path / "flat.npz"
-        save_flat(flat, path)
-        clone = load_flat(path)
+        path = tmp_path / "tree.npz"
+        save_tree(KdTree.from_flat(flat), path)
+        clone = load_tree(path)
         queries = uniform_cloud(200, rng=rng).xyz
         a, _ = knn_exact_batched(flat, queries, 6)
         b, _ = knn_exact_batched(clone, queries, 6)
@@ -115,31 +120,30 @@ class TestFlatSnapshots:
         assert np.array_equal(a.distances, b.distances)
 
     def test_extras_roundtrip(self, flat, tmp_path):
-        path = tmp_path / "flat.npz"
+        # A snapshot with side arrays (a served shard's global ids)
+        # loads as a tree; save_tree itself writes none.
+        path = tmp_path / "shard.npz"
         ids = np.arange(0, 1_500, 3, dtype=np.int64)
-        save_flat(flat, path, extra={"global_ids": ids})
-        clone, extras = load_flat(path, with_extra=True)
-        assert np.array_equal(extras["global_ids"], ids)
+        Snapshot.from_flat(flat, extra={"global_ids": ids}).save(path)
+        clone = load_tree(path)
         assert np.array_equal(clone.points, flat.points)
-        # Default load ignores extras.
-        assert isinstance(load_flat(path), type(flat))
+        save_tree(clone, path)
+        assert Snapshot.load(path).extras == {}
 
-    def test_extra_name_collision_rejected(self, flat, tmp_path):
-        with pytest.raises(ValueError, match="collides"):
-            save_flat(flat, tmp_path / "x.npz", extra={"points": np.zeros(3)})
-
-    def test_version_check(self, flat):
-        arrays = flat_to_arrays(flat)
-        arrays["flat_version"] = np.array([99], dtype=np.int64)
+    def test_version_check(self, flat, tmp_path):
+        payload = Snapshot.from_flat(flat).to_payload()
+        payload["flat_version"] = np.array([99], dtype=np.int64)
+        path = tmp_path / "future.npz"
+        np.savez(path, **payload)
         with pytest.raises(ValueError, match="version"):
-            flat_from_arrays(arrays)
+            load_tree(path)
 
     def test_stream_roundtrip(self, flat):
         buffer = io.BytesIO()
-        save_flat(flat, buffer)
+        save_tree(KdTree.from_flat(flat), buffer)
         buffer.seek(0)
-        clone = load_flat(buffer)
-        assert np.array_equal(clone.bucket_offsets, flat.bucket_offsets)
+        clone = load_tree(buffer)
+        assert np.array_equal(clone.flat().bucket_offsets, flat.bucket_offsets)
 
 
 class TestIndexSnapshots:

@@ -51,29 +51,33 @@ class TestRoundTrips:
 
 
 class TestWireCompat:
-    """Old save_flat files and new Snapshot files must interoperate."""
+    """The file is a plain ``.npz`` under fixed key names, so files in
+    the layout the removed ``save_flat`` wrote keep loading."""
 
     def test_legacy_save_flat_file_loads(self, flat, tmp_path):
-        from repro.kdtree.serialize import save_flat
-
+        # save_flat wrote the version header, the structural arrays and
+        # ``extra_``-prefixed side arrays, compressed.
         path = tmp_path / "legacy.npz"
         ids = np.arange(0, 1_500, 3, dtype=np.int64)
-        with pytest.deprecated_call():
-            save_flat(flat, path, extra={"global_ids": ids})
+        np.savez_compressed(
+            path,
+            flat_version=np.array([1], dtype=np.int64),
+            extra_global_ids=ids,
+            **{name: getattr(flat, name) for name in FLAT_FIELDS},
+        )
         snap = Snapshot.load(path)
         assert np.array_equal(snap.extras["global_ids"], ids)
         assert np.array_equal(snap.to_flat().points, flat.points)
 
     def test_snapshot_file_loads_via_legacy_reader(self, flat, tmp_path):
-        from repro.kdtree.serialize import load_flat
-
+        # A reader of that layout needs nothing but np.load by key.
         path = tmp_path / "new.npz"
         ids = np.arange(7, dtype=np.int64)
         Snapshot.from_flat(flat, extra={"global_ids": ids}).save(path)
-        with pytest.deprecated_call():
-            clone, extras = load_flat(path, with_extra=True)
-        assert np.array_equal(extras["global_ids"], ids)
-        assert np.array_equal(clone.points, flat.points)
+        with np.load(path) as payload:
+            assert int(payload["flat_version"][0]) == FORMAT_VERSION
+            assert np.array_equal(payload["extra_global_ids"], ids)
+            assert np.array_equal(payload["points"], flat.points)
 
 
 class TestValidation:

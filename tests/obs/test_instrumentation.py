@@ -167,46 +167,6 @@ class TestIcpMetrics:
         assert flat["icp.register.seconds.count"] == 1
 
 
-class TestDeprecatedAccessors:
-    """Every renamed accessor still works but warns."""
-
-    def test_dram_busy_cycles(self):
-        from repro.sim import DramModel
-
-        dram = DramModel()
-        dram.access("Rd1", 0, 64, write=False)
-        with pytest.deprecated_call():
-            busy = dram.busy_cycles
-        assert busy == dram.stats.busy_cycles
-
-    def test_gather_mean_fill_at_flush(self):
-        from repro.arch.gather import WriteGatherCache
-
-        cache = WriteGatherCache(n_slots=1, slot_capacity=2)
-        cache.insert(0)
-        cache.drain()
-        with pytest.deprecated_call():
-            legacy = cache.stats.mean_fill_at_flush
-        assert legacy == cache.stats.mean_fill
-
-    def test_build_trace_total_sorted_elements(self):
-        ref, _ = lidar_frame_pair(500, seed=2)
-        _, trace = build_tree(ref, KdTreeConfig(bucket_capacity=64))
-        with pytest.deprecated_call():
-            legacy = trace.total_sorted_elements
-        assert legacy == trace.sorted_elements
-
-    def test_update_trace_total_sorted_elements(self):
-        from repro.kdtree import update_tree
-
-        ref, qry = lidar_frame_pair(500, seed=2)
-        tree, _ = build_tree(ref, KdTreeConfig(bucket_capacity=64))
-        _, trace = update_tree(tree, qry.xyz[:50])
-        with pytest.deprecated_call():
-            legacy = trace.total_sorted_elements
-        assert legacy == trace.sorted_elements
-
-
 class TestAsDictConvention:
     """Each stats object exposes the flat as_dict() view."""
 

@@ -2,17 +2,15 @@
 
 Satellite contract of the registry consolidation: every knob rejects
 unknown names with one uniform message listing the full set of choices,
-deprecated aliases fold with exactly one DeprecationWarning, and
-registration order never changes what callers resolve or see.
+and registration order never changes what callers resolve or see.
 """
 
 import re
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.registry import Registry, warn_deprecated_alias
+from repro.registry import Registry
 
 # ---------------------------------------------------------------------------
 # The live registries: (registry, an exercised caller that must raise the
@@ -119,45 +117,6 @@ class TestAliases:
         assert registry.available() == ("real",)
         assert registry.aliases() == {"nickname": "real"}
         assert "nickname" in registry
-
-
-class TestDeprecatedAliasWarnings:
-    def test_warn_deprecated_alias_message_and_category(self):
-        with pytest.warns(DeprecationWarning,
-                          match=r"^old\(\) is deprecated; use new\(\) instead$"):
-            warn_deprecated_alias("old()", "new()", stacklevel=2)
-
-    def test_snapshot_shims_warn_exactly_once_per_call(self, tmp_path):
-        from repro.kdtree import build_flat
-        from repro.kdtree.serialize import load_flat, save_flat
-
-        flat, _ = build_flat(np.random.default_rng(0).normal(size=(32, 3)))
-        path = tmp_path / "t.npz"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            save_flat(flat, path)
-            load_flat(path)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2
-        # Attributed to this caller, not to repro internals (the test
-        # suite escalates repro-attributed DeprecationWarnings).
-        for w in deprecations:
-            assert w.filename == __file__
-
-    def test_bbf_max_leaves_alias_warns_exactly_once(self):
-        from repro.kdtree import build_tree, knn_bbf
-
-        tree, _ = build_tree(np.random.default_rng(0).normal(size=(64, 3)))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            knn_bbf(tree, np.zeros((1, 3)), 2, max_leaves=4)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "BbfConfig(max_leaves=...)" in str(deprecations[0].message)
 
 
 class TestRegistrySemantics:

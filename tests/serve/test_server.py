@@ -109,6 +109,42 @@ class TestExactIdentity:
         assert np.array_equal(response.distances, truth.distances)
 
 
+class TestReferenceValidation:
+    """A non-finite reference point is refused, never indexed.
+
+    One NaN point makes its bucket's centre NaN, and so every distance
+    scored in that bucket."""
+
+    @staticmethod
+    def _poisoned(ref, bad):
+        poisoned = ref.copy()
+        poisoned[17, 2] = bad
+        return poisoned
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_refuses_non_finite_reference(self, cloud, bad):
+        ref, _ = cloud
+        with pytest.raises(ValueError, match="finite"):
+            KnnServer(self._poisoned(ref, bad))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refused_handoff_keeps_current_generation_serving(self, cloud, bad):
+        ref, queries = cloud
+        flat, _ = build_flat(ref)
+        truth, _ = knn_exact_batched(flat, queries, 8)
+        poisoned = self._poisoned(ref, bad)
+        with KnnServer(ref) as server:
+            with pytest.raises(ValueError, match="finite"):
+                server.update_reference(poisoned)
+            with pytest.raises(ValueError, match="finite"):
+                server.update_reference_async(poisoned).result(timeout=10)
+            assert server.generation == 0
+            response = server.query(queries, 8)
+        assert response.generation == 0
+        assert np.array_equal(response.indices, truth.indices)
+        assert np.array_equal(response.distances, truth.distances)
+
+
 class TestOverload:
     def test_typed_shed_never_wrong_answers(self, cloud):
         ref, queries = cloud

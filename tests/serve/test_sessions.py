@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.kdtree.snapshot import FLAT_FIELDS, Snapshot
 from repro.obs import MetricsRegistry, use_registry
 from repro.serve.config import ServeConfig
 from repro.serve.errors import Overloaded, ServerClosed
@@ -22,6 +23,23 @@ def _queries(seed: int, n: int = 16) -> np.ndarray:
 def _fast(**kwargs) -> SessionConfig:
     kwargs.setdefault("serve", ServeConfig(max_delay_s=0.0))
     return SessionConfig(**kwargs)
+
+
+def _older_spill_extras(tree) -> dict:
+    """The side arrays spill files once carried beside the flat tree:
+    identity ``global_ids`` and the node tree as ``tree_*`` arrays."""
+    flat = tree.flat()
+    extras = {
+        "global_ids": np.arange(tree.n_points, dtype=np.int64),
+        "tree_version": np.array([1], dtype=np.int64),
+        "tree_points": tree.points,
+        "tree_bucket_offsets": flat.bucket_offsets,
+        "tree_bucket_members": flat.bucket_members,
+    }
+    for name in ("parent", "depth", "dim", "threshold", "left", "right",
+                 "bucket_id"):
+        extras["tree_" + name] = np.array([getattr(n, name) for n in tree.nodes])
+    return extras
 
 
 class TestConfig:
@@ -80,6 +98,22 @@ class TestLifecycle:
             bad[2, 0] = np.nan
             with pytest.raises(ValueError, match="finite"):
                 m.submit("t0", bad, k=4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_frames(self, bad):
+        with SessionManager(_fast()) as m:
+            first = _frame(0)
+            first[5, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                m.observe_frame("t0", first)
+            assert m.tenants() == ()
+            m.observe_frame("t0", _frame(0))
+            later = _frame(1)
+            later[3, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                m.observe_frame("t0", later)
+            assert m.stats()["sessions"]["t0"]["generation"] == 0
+            assert m.stats()["sessions"]["t0"]["n_frames"] == 1
 
     def test_closed_manager_refuses(self):
         m = SessionManager(_fast())
@@ -149,6 +183,35 @@ class TestSpillRestore:
         np.testing.assert_array_equal(before.indices, after.indices)
         np.testing.assert_array_equal(before.distances, after.distances)
         assert (tmp_path / "t0.npz").exists()
+
+    def test_spill_file_holds_only_the_flat_snapshot(self, tmp_path):
+        with SessionManager(_fast(spill_dir=tmp_path)) as m:
+            m.observe_frame("t0", _frame(0))
+            m.observe_frame("t0", _frame(1, n=100))
+            m._spill(m._sessions["t0"])
+            with np.load(tmp_path / "t0.npz") as payload:
+                names = set(payload.files)
+        assert names == {"flat_version", *FLAT_FIELDS}
+
+    def test_spill_file_with_older_side_arrays_restores_identically(
+        self, tmp_path
+    ):
+        with SessionManager(_fast(spill_dir=tmp_path)) as m:
+            m.observe_frame("t0", _frame(0))
+            m.observe_frame("t0", _frame(1, n=100))
+            want = m.query("t0", _queries(3), k=4)
+            session = m._sessions["t0"]
+            tree = session.tree
+            m._spill(session)
+            Snapshot.from_flat(tree.flat(), extra=_older_spill_extras(tree)).save(
+                tmp_path / "t0.npz"
+            )
+            got = m.query("t0", _queries(3), k=4)
+            assert m.stats()["counters"]["serve.sessions.restored"] == 1
+            m.observe_frame("t0", _frame(2, n=120))
+            assert m.query("t0", _queries(4), k=4).generation == 1
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.distances, want.distances)
 
     def test_restored_session_continues_incremental(self):
         registry = MetricsRegistry()
