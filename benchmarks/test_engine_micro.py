@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from repro.kdtree import KdTreeConfig, build_tree, knn_approx, knn_approx_loop, knn_exact
+from repro.kdtree.engine import knn_exact_batched
 from repro.kdtree.search import knn_exact_instrumented
 
 
@@ -86,3 +87,33 @@ def test_engine_vs_loop_exact(benchmark, frames_30k, bench_engine):
     print(f"\nexact engine: loop {loop_s * 1e3:.1f} ms, "
           f"engine {engine_s * 1e3:.1f} ms, speedup {speedup:.1f}x")
     assert speedup >= 1.0
+
+
+def test_engine_exact_rows8(benchmark, frames_30k, bench_engine):
+    """Exact search at serving batch sizes: 8-row calls, as a served
+    request reaches a shard, on the same 30k frame."""
+    ref, qry = frames_30k
+    tree, _ = build_tree(ref, KdTreeConfig(bucket_capacity=256))
+    flat = tree.flat()
+    calls = qry.xyz[:2_048].reshape(-1, 8, 3)
+    k = 8
+
+    def run():
+        return [knn_exact_batched(flat, q, k)[0] for q in calls]
+
+    answers = run()
+    slow, _ = knn_exact_instrumented(tree, calls.reshape(-1, 3), k)
+    assert np.array_equal(np.concatenate([a.indices for a in answers]), slow.indices)
+    assert np.array_equal(np.concatenate([a.distances for a in answers]), slow.distances)
+
+    benchmark(run)
+    engine_times = _timed_runs(run, rounds=3)
+    rows = calls.shape[0] * calls.shape[1]
+    benchmark.extra_info["engine_ms_per_call"] = round(
+        min(engine_times) / calls.shape[0] * 1e3, 3
+    )
+    bench_engine.add(
+        "exact_batched_rows8", work=rows, times_s=engine_times,
+        k=k, points=int(ref.xyz.shape[0]), rows_per_call=calls.shape[1],
+    )
+    print(f"\nexact engine, 8-row calls: {min(engine_times) / calls.shape[0] * 1e3:.2f} ms per call")

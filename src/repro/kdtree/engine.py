@@ -11,18 +11,21 @@ computation the same way the accelerator does:
   child indices as contiguous NumPy arrays plus the buckets in CSR form
   (offsets + one concatenated member array) — the software mirror of
   the hardware's word-addressable tree cache and bucket block store.
-* :func:`knn_approx_batched` advances *all* queries level-by-level with
-  one ``np.where`` per tree level, then answers whole buckets at a
-  time: queries are grouped by the leaf they reached (argsort over leaf
-  ids) and each group is answered by one vectorized distance + top-k
-  kernel.  No per-query Python loop runs on the hot path.
-* :func:`knn_exact_batched` starts from the batched approximate answer,
+* :func:`knn_approx_batched` advances *all* queries level-by-level
+  through per-level threshold tables, then scores every (query, home
+  bucket) pair of the batch at once: a bucket many queries reached is
+  answered by one vectorized matmul + top-k kernel, and the queries of
+  sparsely hit buckets share one gathered pass.  No per-query Python
+  loop runs on the hot path, and a small batch runs no per-bucket loop.
+* :func:`knn_exact_batched` starts from that single-bucket answer,
   certifies the majority of queries exact through the leaf radius test
   (k-th distance vs. the smallest splitting-plane margin crossed on the
-  way down), and resolves the rest with a *batched* backtracking pass:
+  way down), and resolves the rest in one *batched* backtracking pass:
   a vectorized frontier walk collects every (query, bucket) pair the
-  branch-and-bound search could visit, then buckets are scanned one
-  vectorized merge at a time.
+  branch-and-bound search could visit, all of those pairs are scored in
+  the same one routine, and each query takes one cut over its visited
+  members that can beat its home k-th distance.  There is no
+  per-bucket merge.
 
 Candidate *selection* inside a bucket uses the classic
 ``|q|^2 - 2 q.c + |c|^2`` BLAS expansion in float64, evaluated in the
@@ -36,7 +39,9 @@ from the origin.  Each row keeps ``t = k + SELECT_PAD`` candidates, and
 the ``(t+1)``-th score certifies the cut: only rows where it lies
 within the rounding margin of the ``t``-th score (exact duplicates, or
 a bucket stretched by a far outlier) are re-selected on exact float64
-distances.  The final top-k and its reported distances are always
+distances.  A cut over candidates scored in several frames is widened
+by the largest of their margins.  The final top-k and its reported
+distances are always
 decided on float64 distances recomputed from the raw coordinates with
 the same ``sqrt(((q - c)^2).sum())`` kernel the per-query paths use, so
 results are element-for-element identical to the loop implementations
@@ -72,7 +77,7 @@ class FlatKdTree:
     #: top-k is decided on exact float64 distances, so the pad only has
     #: to absorb rounding at the selection boundary; rows whose
     #: boundary the rounding margin cannot certify are re-selected
-    #: exactly (see ``_grouped_topk``).
+    #: exactly (see ``_certified_top``).
     SELECT_PAD = 4
 
     def __init__(
@@ -234,9 +239,14 @@ class FlatKdTree:
         least one of those planes, so the margin lower-bounds the
         distance to any out-of-leaf point — the exactness certificate
         (leaf radius test) :func:`knn_exact_batched` uses to skip
-        backtracking.
+        backtracking.  Runs on the :meth:`level_plan` when the tree has
+        one, on the generic per-node walk otherwise.
         """
-        return self._descend(queries, with_margin=True)
+        plan = self.level_plan()
+        q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        if plan is None:
+            return self._descend(q, with_margin=True)
+        return plan.descend(q, with_margin=True)
 
     def _descend(
         self, queries: np.ndarray, *, with_margin: bool
@@ -286,7 +296,7 @@ class FlatKdTree:
         q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if plan is None:
             return self.descend(q)
-        return plan.descend(q)
+        return plan.descend(q)[0]
 
 
 class _LevelPlan:
@@ -351,11 +361,24 @@ class _LevelPlan:
         leaf_node_of_slot[bottom] = leaves
         return cls(dims, tables, leaf_node_of_slot, depth)
 
-    def descend(self, q: np.ndarray) -> np.ndarray:
+    def descend(
+        self, q: np.ndarray, *, with_margin: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Leaf node ids and, if asked, the smallest plane margin crossed.
+
+        A parked leaf's ``+inf`` thresholds give an infinite margin, so
+        only the planes a query really crossed bound it, as in
+        :meth:`FlatKdTree._descend`.
+        """
         cur = np.zeros(q.shape[0], dtype=np.int64)
+        margin = np.full(q.shape[0], np.inf) if with_margin else None
         for dim, table in zip(self.dims, self.tables):
-            cur = cur + cur + (q[:, dim] > table[cur])
-        return self.leaf_node_of_slot[cur]
+            coords = q[:, dim]
+            thresholds = table[cur]
+            if with_margin:
+                np.minimum(margin, np.abs(coords - thresholds), out=margin)
+            cur = cur + cur + (coords > thresholds)
+        return self.leaf_node_of_slot[cur], margin
 
 
 #: Rounding margin of a bucket-frame squared distance, in float64 ulps
@@ -491,6 +514,24 @@ def _reselect(
     return top, np.take_along_axis(d2, top, axis=1)
 
 
+def _certified_top(
+    qg: np.ndarray, d2: np.ndarray, margin: np.ndarray,
+    members: np.ndarray, pts: np.ndarray, t: int,
+) -> tuple[np.ndarray, int]:
+    """Each row's ``t`` best columns of one bucket's scores ``d2``.
+
+    The :func:`_cut` is certified by the bucket frame's ``margin``; rows
+    it cannot certify are re-selected on exact distances over the
+    bucket's ``members`` (coordinates ``pts``).  Returns the columns
+    and the number of rows re-selected.
+    """
+    top, _, risky = _cut(d2, margin, t)
+    if risky.size:
+        ids = np.broadcast_to(members, (risky.size, members.size))
+        top[risky] = _reselect(qg[risky], pts[None], ids, t)[0]
+    return top, int(risky.size)
+
+
 def _exact_rows(
     qg: np.ndarray, pts: np.ndarray, ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -517,18 +558,60 @@ def _exact_rows(
     return idx, dst
 
 
-def _grouped_topk(
-    flat: FlatKdTree, q: np.ndarray, bucket_ids: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k over each query's bucket, one vectorized kernel per group.
+#: Candidate slots one pass of :func:`_pair_topk`'s second stage
+#: scores.  A pass's arrays hold 8 bytes a slot (its padded rows little
+#: more), so each stays under glibc's 128 KB mmap threshold: freeing an
+#: mmapped block raises that threshold for good, and every thread's
+#: later allocations then stay retained on the heap (fleet-churn's
+#: peak RSS rose by ~20 MB that way).  A serving call is one pass or
+#: two.
+_SCORE_BUDGET = 8192
 
-    Queries are grouped by bucket (argsort) and each group is answered
-    from one contiguous :class:`BucketStore` slice: it selects its
-    ``t = k + SELECT_PAD`` candidates on float64 squared distances in
-    the bucket's own frame, re-selects exactly the rows whose cut the
-    rounding margin cannot certify, and decides the reported top-k on
-    exactly recomputed float64 distances.  Returns ``(indices,
-    distances)`` of shape ``(M, k)``.
+#: A bucket that at least this many of a call's rows scan is scored
+#: with one BLAS matmul of those rows against its members; below it,
+#: the bucket's pairs join the call's gathered passes.  A matmul pays
+#: ~50 µs of fixed cost and then runs about twice as fast per score as
+#: the gather, so it wins from about a dozen rows of a 256-point
+#: bucket: whole frames (~230 rows per bucket) take the matmul,
+#: serving batches (~1 row per bucket) the gather.
+_DENSE_ROWS = 16
+
+
+def _pair_topk(
+    flat: FlatKdTree,
+    q: np.ndarray,
+    rows: np.ndarray,
+    buckets: np.ndarray,
+    k: int,
+    bound: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's k nearest members over all its (row, bucket) pairs.
+
+    ``rows`` and ``buckets`` list the pairs to scan: row ``rows[i]`` of
+    ``q`` scans bucket ``buckets[i]``.  Without ``bound`` every row has
+    exactly one pair (a home pass).  ``bound`` gives each row a
+    distance that only closer members can matter against (the k-th
+    distance of the candidates the caller already holds); members
+    certainly beyond it are dropped unranked.
+
+    All pairs are scored at once, each in its own bucket's frame from
+    the :class:`BucketStore`, in two stages:
+
+    * a bucket that ``_DENSE_ROWS`` or more rows scan is scored by one
+      BLAS matmul (:meth:`BucketStore.sq_distances`).  Without a bound
+      each row's certified cut (:func:`_certified_top`) is its answer.
+      With one, a row keeps its members inside the bound, or its
+      ``t = k + SELECT_PAD`` best under the certified cut where more
+      are;
+    * every other row takes one certified cut to ``t`` over all its
+      candidates (those, plus every member of its other buckets, scored
+      in one gathered pass per chunk of ``_SCORE_BUDGET`` slots; with a
+      bound, only those inside it), widened by the largest frame margin
+      among its pairs, and re-selects exactly only the rows the margin
+      cannot certify.
+
+    Reported distances come from :func:`_exact_rows`.  Returns
+    ``(indices, distances)`` of shape ``(len(q), k)``.
     """
     from repro.kdtree.search import PAD_INDEX
 
@@ -538,37 +621,186 @@ def _grouped_topk(
     if m == 0:
         return indices, distances
 
-    obs = get_registry()
     store = flat.store
-    t = k + FlatKdTree.SELECT_PAD
-    order, runs = _bucket_runs(bucket_ids)
     offsets = flat.bucket_offsets
-    groups = reselected = 0
-    for bid, start, stop in runs:
-        groups += 1
-        lo, hi = offsets[bid], offsets[bid + 1]
-        if hi == lo:
+    t = k + FlatKdTree.SELECT_PAD
+    lo = offsets[buckets]
+    width = offsets[buckets + 1] - lo
+    dense = (np.bincount(buckets)[buckets] >= _DENSE_ROWS) & (width > t)
+    width[dense] = t
+    hot = np.flatnonzero(dense)
+    if bound is not None:
+        bound2 = bound * bound
+        bound2 += _MARGIN_ULPS * _EPS * bound2
+        # The first stage's survivors: t slots per dense pair, a store
+        # position and its score; unused slots score ``inf``.
+        slot_of = np.empty(rows.size, dtype=np.int64)
+        slot_of[hot] = np.arange(hot.size) * t
+        kept_pos = np.repeat(lo[hot], t)
+        kept_score = np.full(hot.size * t, np.inf)
+
+    reselected = 0
+    order, runs = _bucket_runs(buckets[hot]) if hot.size else (None, ())
+    for bid, a, b in runs:
+        sel = hot[order[a:b]]
+        rs = rows[sel]
+        b_lo, b_hi = offsets[bid], offsets[bid + 1]
+        members = flat.bucket_members[b_lo:b_hi]
+        pts = store.points[b_lo:b_hi]
+        qg = q[rs]
+        d2, margin = store.sq_distances(bid, qg)
+        if bound is None:
+            top, n = _certified_top(qg, d2, margin, members, pts, t)
+            reselected += n
+            idx, dst = _exact_rows(qg, pts[top], members[top])
+            indices[rs] = idx[:, :k]
+            distances[rs] = dst[:, :k]
             continue
-        qids = order[start:stop]
-        qg = q[qids]
-        cand = flat.bucket_members[lo:hi]
-        pts = store.points[lo:hi]
-        if hi - lo > t:
-            top, _, risky = _cut(*store.sq_distances(bid, qg), t)
+        # A row with at most t members inside its bound keeps them
+        # unranked; only the rows with more need the cut.
+        near = d2 <= (bound2[rs] + margin)[:, None]
+        n_near = np.count_nonzero(near, axis=1)
+        over = np.flatnonzero(n_near > t)
+        near[over] = False
+        n_near[over] = 0
+        hit = np.flatnonzero(near)
+        r = hit // d2.shape[1]
+        slot = slot_of[sel[r]] + np.arange(hit.size) - (np.cumsum(n_near) - n_near)[r]
+        kept_pos[slot] = b_lo + hit % d2.shape[1]
+        kept_score[slot] = d2.ravel()[hit]
+        if over.size:
+            top, n = _certified_top(qg[over], d2[over], margin[over], members, pts, t)
+            reselected += n
+            slots = slot_of[sel[over], None] + np.arange(t)
+            kept_pos[slots] = b_lo + top
+            kept_score[slots] = np.take_along_axis(d2[over], top, axis=1)
+
+    obs = get_registry()
+    if reselected:
+        obs.counter("engine.select.reselected").inc(reselected)
+        reselected = 0
+    left = np.flatnonzero(~dense) if bound is None else np.arange(rows.size)
+    if left.size == 0:
+        return indices, distances
+
+    # The second stage: its pairs grouped by row, rows in ascending
+    # candidate count, so that a chunk is a slice of rows and of pairs
+    # and pads little.
+    count = np.bincount(rows[left], weights=width[left], minlength=m).astype(np.int64)
+    live = np.unique(rows[left])
+    live = live[np.argsort(count[live], kind="stable")]
+    rank = np.empty(m, dtype=np.int64)
+    rank[live] = np.arange(live.size)
+    left = left[np.argsort(rank[rows[left]], kind="stable")]
+    first_pair = np.searchsorted(rank[rows[left]], np.arange(live.size + 1))
+    for r0, r1 in _chunks(count[live], _SCORE_BUDGET):
+        rsel = live[r0:r1]
+        cnt = count[rsel]
+        nr = r1 - r0
+        qc = q[rsel]
+        pairs = left[first_pair[r0] : first_pair[r1]]
+        pw = width[pairs]
+        pstart = np.cumsum(pw) - pw
+        # A bucket's members are the store slice ``offsets[b]:offsets[b + 1]``.
+        cpos = np.arange(int(cnt.sum())) + np.repeat(lo[pairs] - pstart, pw)
+        cscore = np.empty(cpos.size)
+        # Each pair's query in its bucket's frame; the sparse pairs'
+        # members are scored here, column by column.
+        pb = buckets[pairs]
+        ql = q[rows[pairs]] - store.center[pb]
+        qsq = np.einsum("ij,ij->i", ql, ql)
+        frame_margin = _MARGIN_ULPS * _EPS * (qsq + store.radius_sq[pb])
+        sp = ~dense[pairs]
+        at = cpos
+        if not sp.all():
+            from_first = (pstart[~sp, None] + np.arange(t)).ravel()
+            first = (slot_of[pairs[~sp], None] + np.arange(t)).ravel()
+            cpos[from_first] = kept_pos[first]
+            cscore[from_first] = kept_score[first]
+            at = cpos[np.repeat(sp, pw)]
+        if at.size:
+            spw = pw[sp]
+            part = store.local[at, 0] * np.repeat(ql[sp, 0], spw)
+            part += store.local[at, 1] * np.repeat(ql[sp, 1], spw)
+            part += store.local[at, 2] * np.repeat(ql[sp, 2], spw)
+            part *= -2.0
+            part += store.sq.take(at)
+            part += np.repeat(qsq[sp], spw)
+            if sp.all():
+                cscore = part
+            else:
+                cscore[np.repeat(sp, pw)] = part
+        # Lay each row's candidates out in one padded row: with a bound,
+        # only those that can beat it.
+        slot_row = np.repeat(np.arange(nr), cnt)
+        if bound is None:
+            kept_slots = np.arange(cpos.size)
+        else:
+            kept_slots = np.flatnonzero(
+                cscore <= np.repeat(bound2[rows[pairs]] + frame_margin, pw)
+            )
+            slot_row = slot_row[kept_slots]
+            cnt = np.bincount(slot_row, minlength=nr)
+        w = int(cnt.max())
+        if w == 0:
+            continue
+        rstart = np.cumsum(cnt) - cnt
+        cell = slot_row * w + np.arange(kept_slots.size) - rstart[slot_row]
+        padded = np.full((nr, w), np.inf)
+        np.put(padded, cell, cscore[kept_slots])
+        where = np.zeros((nr, w), dtype=np.int64)
+        np.put(where, cell, cpos[kept_slots])
+        if w > t:
+            # One cut per row, widened by its pairs' largest frame margin.
+            margin = np.maximum.reduceat(frame_margin, first_pair[r0:r1] - first_pair[r0])
+            top, kept, risky = _cut(padded, margin, t)
             if risky.size:
                 reselected += risky.size
-                ids = np.broadcast_to(cand, (risky.size, cand.size))
-                top[risky] = _reselect(qg[risky], pts[None], ids, t)[0]
+                ok = np.isfinite(padded[risky])
+                ids = np.where(ok, flat.bucket_members.take(where[risky]), PAD_INDEX)
+                pts = store.points.take(where[risky], axis=0)
+                top[risky] = _reselect(qc[risky], pts, ids, t)[0]
+                kept[risky] = np.take_along_axis(padded[risky], top[risky], axis=1)
+            at = np.take_along_axis(where, top, axis=1)
         else:
-            top = np.broadcast_to(np.arange(hi - lo), (qids.size, hi - lo))
-        idx, dst = _exact_rows(qg, pts[top], cand[top])
-        w = min(k, idx.shape[1])
-        indices[qids, :w] = idx[:, :w]
-        distances[qids, :w] = dst[:, :w]
-    obs.counter("engine.leaf_groups").inc(groups)
+            kept, at = padded, where
+        ids = flat.bucket_members.take(at)
+        ids[np.isinf(kept)] = PAD_INDEX
+        idx, dst = _exact_rows(qc, store.points.take(at, axis=0), ids)
+        kk = min(k, idx.shape[1])
+        indices[rsel, :kk] = idx[:, :kk]
+        distances[rsel, :kk] = dst[:, :kk]
     if reselected:
         obs.counter("engine.select.reselected").inc(reselected)
     return indices, distances
+
+
+def _chunks(count: np.ndarray, budget: int):
+    """Split rows of ascending ``count`` into runs ``(r0, r1)`` of at
+    most ``budget`` candidates in total.
+
+    Rows without candidates (already answered, or scanning only empty
+    buckets) join no run; a single row wider than the budget is a run
+    of its own.
+    """
+    r0 = int(np.searchsorted(count, 1))
+    total = np.cumsum(count)
+    while r0 < count.size:
+        done = total[r0 - 1] if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(total, done + budget, side="right")))
+        yield r0, r1
+        r0 = r1
+
+
+def _home_topk(
+    flat: FlatKdTree, q: np.ndarray, leaf_ids: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k of each query within its home leaf's bucket."""
+    buckets = flat.bucket_id[leaf_ids]
+    obs = get_registry()
+    if obs.enabled:
+        obs.counter("engine.leaf_groups").inc(int(np.unique(buckets).size))
+    return _pair_topk(flat, q, np.arange(q.shape[0]), buckets, k)
 
 
 def knn_approx_batched(flat: FlatKdTree, queries: np.ndarray, k: int):
@@ -580,8 +812,7 @@ def knn_approx_batched(flat: FlatKdTree, queries: np.ndarray, k: int):
     obs = get_registry()
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     with obs.timer("engine.approx"):
-        leaf_ids = flat.descend_fast(q)
-        indices, distances = _grouped_topk(flat, q, flat.bucket_id[leaf_ids], k)
+        indices, distances = _home_topk(flat, q, flat.descend_fast(q), k)
     if obs.enabled:
         obs.counter("engine.approx.calls").inc()
         obs.counter("engine.approx.queries").inc(q.shape[0])
@@ -649,6 +880,17 @@ def knn_exact_batched(
     """Exact kNN: batched single-bucket pass, leaf radius test, then
     batched backtracking for the minority of queries that need it.
 
+    The stages: descend all queries (with plane margins) on the level
+    plan; answer each from its home bucket; settle those whose k-th
+    distance beats every plane they crossed; collect the unsettled
+    queries' (query, bucket) visits in one frontier walk; score all
+    visits in one pass (a bucket many queries visit by one matmul, the
+    rest gathered), keeping per query only members that can beat its
+    home k-th distance; take one certified cut per query over them;
+    merge that with the home answer in one sort of exact distances.
+    The number of NumPy calls of a small batch does not grow with the
+    buckets it visits.
+
     ``tree`` may be a :class:`~repro.kdtree.node.KdTree` or a
     :class:`FlatKdTree` (e.g. loaded from a snapshot) — the search only
     touches the flat layout.  ``max_visits`` bounds how many *extra*
@@ -702,11 +944,9 @@ def _truncate_visits(
 def _exact_batched_impl(
     tree: "KdTree | FlatKdTree", q: np.ndarray, k: int, obs, *, max_visits=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    from repro.kdtree.search import PAD_INDEX
-
     flat = tree.flat()
     leaf_ids, margins = flat.descend_with_margin(q)
-    indices, distances = _grouped_topk(flat, q, flat.bucket_id[leaf_ids], k)
+    indices, distances = _home_topk(flat, q, leaf_ids, k)
     visits = np.ones(q.shape[0], dtype=np.int64)
 
     # Leaf radius test: a query is settled iff it found k neighbors all
@@ -735,71 +975,20 @@ def _exact_batched_impl(
     if vq.size == 0:
         return indices, distances, visits
 
-    # Merge the visited buckets into each query's running candidate
-    # set, one vectorized merge per distinct bucket.  Each visited
-    # bucket is scored in its own frame from one contiguous store
-    # slice, and the merged row keeps ``SELECT_PAD`` extra candidates
-    # under the same certified cut as the single-bucket pass.  A
-    # certified cut makes the kept *set* right, not the kept values:
-    # they carry their frame's rounding into later merges, where a
-    # finer frame's margin alone would not cover them (a bucket
-    # stretched by a far outlier next to micron-spaced neighbors).  So
-    # ``run_err`` keeps, per row, the largest margin behind its running
-    # values and widens every later cut by it; an exact re-selection
-    # resets it.  The touched rows are re-derived exactly — and cut
-    # back to k — at the end.
-    store = flat.store
-    t = k + FlatKdTree.SELECT_PAD
-    row_of = np.full(q.shape[0], -1, dtype=np.int64)
-    row_of[unsettled] = np.arange(unsettled.size)
-    run_d2 = np.concatenate(
-        [distances[unsettled] ** 2, np.full((unsettled.size, t - k), np.inf)],
-        axis=1,
-    )
-    run_idx = np.concatenate(
-        [
-            indices[unsettled],
-            np.full((unsettled.size, t - k), PAD_INDEX, dtype=np.int64),
-        ],
-        axis=1,
-    )
-    run_err = np.zeros(unsettled.size)
-    order, runs = _bucket_runs(vb)
-    offsets = flat.bucket_offsets
-    reselected = 0
-    for bid, start, stop in runs:
-        qids = vq[order[start:stop]]
-        visits[qids] += 1
-        lo, hi = offsets[bid], offsets[bid + 1]
-        if hi == lo:
-            continue
-        rows = row_of[qids]
-        d2, margin = store.sq_distances(bid, q[qids])
-        cat_d2 = np.concatenate([run_d2[rows], d2], axis=1)
-        cat_idx = np.empty(cat_d2.shape, dtype=np.int64)
-        cat_idx[:, :t] = run_idx[rows]
-        cat_idx[:, t:] = flat.bucket_members[lo:hi]
-        top, kept, risky = _cut(cat_d2, margin + run_err[rows], t)
-        run_d2[rows] = kept
-        run_idx[rows] = cat_idx[np.arange(qids.size)[:, None], top]
-        run_err[rows] = np.maximum(run_err[rows], margin)
-        if risky.size:
-            reselected += risky.size
-            ids = cat_idx[risky]
-            pts = flat.points[np.where(ids != PAD_INDEX, ids, 0)]
-            top, d2_top = _reselect(q[qids[risky]], pts, ids, t)
-            run_idx[rows[risky]] = np.take_along_axis(ids, top, axis=1)
-            run_d2[rows[risky]] = d2_top
-            run_err[rows[risky]] = 0.0
-    if reselected:
-        obs.counter("engine.select.reselected").inc(reselected)
-
+    # One pass over every visited (query, bucket) pair gives each
+    # touched query the k nearest of its visited members that can beat
+    # its home k-th distance; with its home top-k they hold its true k
+    # nearest.  Both carry exact distances, so one stable sort of the 2k
+    # picks the answer.  Queries the radius test missed but backtracking
+    # never reached keep their home answer untouched.
+    visits += np.bincount(vq, minlength=q.shape[0])
     touched = np.unique(vq)
-    ids = run_idx[row_of[touched]]
-    pts = flat.points[np.where(ids != PAD_INDEX, ids, 0)]
-    idx, dst = _exact_rows(q[touched], pts, ids)
-    indices[touched] = idx[:, :k]
-    distances[touched] = dst[:, :k]
-    # Rows the radius test missed but backtracking never improved keep
-    # their (already exact) single-bucket answer untouched.
+    near_idx, near_dst = _pair_topk(
+        flat, q[touched], np.searchsorted(touched, vq), vb, k, kth[touched]
+    )
+    ids = np.concatenate([indices[touched], near_idx], axis=1)
+    dst = np.concatenate([distances[touched], near_dst], axis=1)
+    best = np.argsort(dst, axis=1, kind="stable")[:, :k]
+    indices[touched] = np.take_along_axis(ids, best, axis=1)
+    distances[touched] = np.take_along_axis(dst, best, axis=1)
     return indices, distances, visits

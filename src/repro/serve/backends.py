@@ -36,6 +36,7 @@ import itertools
 import queue
 import secrets
 import threading
+import weakref
 from typing import TYPE_CHECKING, Callable
 
 from repro.obs import get_registry
@@ -89,7 +90,10 @@ class ExecutionBackend(abc.ABC):
     name = "abstract"
 
     def __init__(self, server: "KnnServer"):
-        self._server = server
+        # A proxy, not a reference: the server owns its backend, and a
+        # cycle between them would keep a closed server's shard trees
+        # alive until the cyclic garbage collector ran.
+        self._server = weakref.proxy(server)
 
     @abc.abstractmethod
     def start(self, shards: tuple["ShardState", ...]) -> None:

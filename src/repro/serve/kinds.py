@@ -156,10 +156,11 @@ class _Knn:
         return merge_topk(list(indices), list(distances), args[0])
 
     def respond(self, merged, job, request, row0: int, row1: int, now: float):
+        # Copies, not views: a kept response must not pin its batch.
         indices, distances = merged
         return ServeResponse(
-            indices=indices[row0:row1],
-            distances=distances[row0:row1],
+            indices=indices[row0:row1].copy(),
+            distances=distances[row0:row1].copy(),
             mode=request.mode,
             served=request.served,
             degrade_level=job.degrade_level,
@@ -199,8 +200,8 @@ class _Radius:
         lo = int(merged.offsets[row0])
         hi = int(merged.offsets[row1])
         return RadiusServeResponse(
-            indices=merged.indices[lo:hi],
-            distances=merged.distances[lo:hi],
+            indices=merged.indices[lo:hi].copy(),
+            distances=merged.distances[lo:hi].copy(),
             offsets=merged.offsets[row0 : row1 + 1] - lo,
             radius=job.args[1],
             max_neighbors=job.args[0],

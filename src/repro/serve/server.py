@@ -246,7 +246,8 @@ class KnnServer:
         self._swap_lock = threading.Lock()
         self._rebuild_lock = threading.Lock()
         self._obs_lock = threading.Lock()
-        self._closed = False
+        #: Set by ``close()``; also wakes the monitor out of its tick wait.
+        self._closed = threading.Event()
         self._inflight: dict[int, _BatchJob] = {}
         self._inflight_lock = threading.Lock()
         self._gen_inflight: dict[int, int] = {}
@@ -500,7 +501,7 @@ class KnnServer:
             "n_worker_threads": execution.get("n_worker_threads", 0),
             "counters": counters,
             "uptime_s": self._clock() - self._started_at,
-            "closed": self._closed,
+            "closed": self._closed.is_set(),
         }
 
     def close(self) -> None:
@@ -510,9 +511,9 @@ class KnnServer:
         (join → terminate → kill) and every shared-memory segment is
         unlinked.  Idempotent.
         """
-        if self._closed:
+        if self._closed.is_set():
             return
-        self._closed = True
+        self._closed.set()
         for request in self._batcher.close():
             _try_set_exception(request.future, ServerClosed())
         with self._inflight_lock:
@@ -555,10 +556,10 @@ class KnnServer:
         while True:
             batch = self._batcher.next_batch(timeout=0.1)
             if batch is None:
-                if self._closed:
+                if self._closed.is_set():
                     return
                 continue
-            if self._closed:
+            if self._closed.is_set():
                 for request in batch:
                     _try_set_exception(request.future, ServerClosed())
                 return
@@ -782,8 +783,7 @@ class KnnServer:
         ]
         tick = min(min(horizons) / 4 if horizons else 0.05, 0.05)
         tick = max(tick, 0.001)
-        while not self._closed:
-            time.sleep(tick)
+        while not self._closed.wait(tick):
             try:
                 self._monitor_tick()
             except Exception:  # pragma: no cover - defensive

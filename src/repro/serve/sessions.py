@@ -443,8 +443,10 @@ class SessionManager:
         return session, True
 
     def _spill(self, session: Session) -> None:
+        # Uncompressed: a spill is read back by the next restore, where
+        # inflating it would cost several times the ~30% it saves on disk.
         Snapshot.from_flat(session.tree.flat()).save(
-            self._spill_path(session.tenant)
+            self._spill_path(session.tenant), compressed=False
         )
         session.server.close()
         session.server = None

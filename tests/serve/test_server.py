@@ -1,7 +1,9 @@
 """KnnServer end-to-end: identity, degradation, failure handling, handoff."""
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ import pytest
 from repro.datasets.synthetic import uniform_cloud
 from repro.kdtree import build_flat, knn_approx_batched, knn_exact_batched
 from repro.obs import MetricsRegistry, use_registry
+from repro.query import radius_batched
 from repro.serve import (
+    ExecutionConfig,
     KnnServer,
     Overloaded,
     RequestTimeout,
@@ -107,6 +111,37 @@ class TestExactIdentity:
             response = future.result(timeout=10)
         assert np.array_equal(response.indices, truth.indices)
         assert np.array_equal(response.distances, truth.distances)
+
+
+class TestResponseOwnership:
+    def test_responses_own_exactly_their_rows(self, cloud):
+        # The 0.3 s deadline puts each kind's four requests in one
+        # micro-batch; a response viewing the batch would pin all of it.
+        ref, queries = cloud
+        flat, _ = build_flat(ref)
+        truth, _ = knn_exact_batched(flat, queries[:32], 4)
+        balls = radius_batched(flat, queries[:32], 4.0, max_neighbors=6)
+        starts = range(0, 32, 8)
+        with KnnServer(ref, ServeConfig(max_delay_s=0.3)) as server:
+            knn = [server.submit(queries[i:i + 8], 4) for i in starts]
+            radius = [
+                server.submit_radius(queries[i:i + 8], 4.0, max_neighbors=6)
+                for i in starts
+            ]
+            knn = [future.result(timeout=10) for future in knn]
+            radius = [future.result(timeout=10) for future in radius]
+        for i, response in zip(starts, knn):
+            assert response.indices.base is None
+            assert response.distances.base is None
+            assert np.array_equal(response.indices, truth.indices[i:i + 8])
+            assert np.array_equal(response.distances, truth.distances[i:i + 8])
+        for i, response in zip(starts, radius):
+            lo, hi = balls.offsets[i], balls.offsets[i + 8]
+            assert response.indices.base is None
+            assert response.distances.base is None
+            assert np.array_equal(response.offsets, balls.offsets[i:i + 9] - lo)
+            assert np.array_equal(response.indices, balls.indices[lo:hi])
+            assert np.array_equal(response.distances, balls.distances[lo:hi])
 
 
 class TestReferenceValidation:
@@ -389,6 +424,34 @@ class TestLifecycle:
         with pytest.raises(ServerClosed):
             server.submit(queries[:4], 4)
         server.close()  # idempotent
+
+    def test_close_right_after_boot_returns_promptly(self, cloud):
+        # The monitor ticks every 50 ms; close() must wake it, not wait
+        # out its tick, or every session spill pays a tick.
+        ref, _ = cloud
+        started = time.perf_counter()
+        for _ in range(20):
+            server = KnnServer(ref[:500], ServeConfig())
+            server.close()
+        assert not server._monitor.is_alive()
+        assert time.perf_counter() - started < 0.5
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_closed_server_is_freed_without_the_cycle_collector(self, cloud, backend):
+        # A closed server dropped by its owner (a session spill) must
+        # release its shard trees at once, not at the next gc pass.
+        ref, queries = cloud
+        config = ServeConfig(execution=ExecutionConfig(backend=backend))
+        server = KnnServer(ref[:500], config)
+        server.query(queries[:2], 4)
+        server.close()
+        alive = weakref.ref(server)
+        gc.disable()
+        try:
+            del server
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_stats_shape(self, cloud):
         ref, _ = cloud
