@@ -8,10 +8,10 @@ qualitative findings of the paper — all hold.
 Trajectory artifacts: the engine and build micro-benchmarks also feed
 a per-area :class:`TrajectoryRecorder`.  When ``QUICKNN_BENCH_DIR`` is
 set, each area writes a ``BENCH_<area>.json`` in the same
-``quicknn-bench-<area>/v1`` schema as the serving layer's
-``BENCH_serve.json`` (best-of rates, per-repeat spread, per-core
+``quicknn-bench-<area>/v1`` schema that ``quicknn-serve bench
+--bench-json`` writes (best-of rates, per-repeat spread, per-core
 normalization, honesty notes), so ``quicknn-experiments bench-diff``
-can gate regressions across all three areas uniformly.
+can gate regressions across areas uniformly.
 """
 
 from __future__ import annotations

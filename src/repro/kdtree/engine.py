@@ -35,18 +35,24 @@ are shifted into the same frame.  The expansion's cancellation error
 grows with the magnitude of the coordinates it sees, so in the
 bucket's frame it scales with the bucket's extent (centimetres to
 metres for a lidar leaf), not with the cloud's extent or its distance
-from the origin.  Each row keeps ``t = k + SELECT_PAD`` candidates, and
-the ``(t+1)``-th score certifies the cut: only rows where it lies
-within the rounding margin of the ``t``-th score (exact duplicates, or
-a bucket stretched by a far outlier) are re-selected on exact float64
+from the origin.  Each row keeps ``t = k + SELECT_PAD`` candidates.
+The cut ranks in place on packed int64 keys: a non-negative score
+viewed as int64 keeps its order (a negative one, from cancellation,
+ranks first and counts as 0), and its low ``b`` bits are replaced by
+the column, so one ``partition`` of the score matrix gives the cut and
+the columns together (rows too wide for the column field take
+``argpartition``).  The ``(t+1)``-th score certifies the cut: only rows
+where it lies within the rounding margin of the ``t``-th score, or
+within the ``2**b`` ulps the packing truncated (exact duplicates, or a
+bucket stretched by a far outlier), are re-selected on exact float64
 distances.  A cut over candidates scored in several frames is widened
 by the largest of their margins.  The final top-k and its reported
-distances are always
-decided on float64 distances recomputed from the raw coordinates with
-the same ``sqrt(((q - c)^2).sum())`` kernel the per-query paths use, so
-results are element-for-element identical to the loop implementations
-(which remain available — and tested against — as ``knn_approx_loop``
-/ ``knn_exact(engine=False)``).
+distances are always decided on float64 distances recomputed from the
+raw coordinates with the per-query paths' ``sqrt(((q - c)^2).sum())``
+kernel (summed column by column, with the same bits), so results are
+element-for-element identical to the loop implementations (which
+remain available — and tested against — as ``knn_approx_loop`` /
+``knn_exact(engine=False)``).
 """
 
 from __future__ import annotations
@@ -232,7 +238,7 @@ class FlatKdTree:
         return leaf_ids
 
     def descend_with_margin(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Leaf ids plus, per query, the smallest ``|q[dim] - threshold]``
+        """Leaf ids plus, per query, the smallest ``|q[dim] - threshold|``
         over the splitting planes crossed on the way down.
 
         Every reference point *outside* a query's leaf lies across at
@@ -473,26 +479,80 @@ def _bucket_runs(bucket_ids: np.ndarray):
     return order, zip(sorted_b[starts].tolist(), starts.tolist(), stops.tolist())
 
 
+#: Widest column field of a packed selection key (see :func:`_cut`):
+#: rows up to ``2 ** _ID_BITS`` wide rank on packed keys, wider ones
+#: (oversized leaves, merged exact-search rows) on ``argpartition``.
+#: A row ``2**b`` wide gives up its scores' low ``b`` bits, so the
+#: field caps that truncation at ``2 ** _ID_BITS`` ulps.
+_ID_BITS = 10
+
+
 def _cut(score: np.ndarray, margin: np.ndarray, t: int):
     """Each row's ``t`` smallest scores: ``(columns, scores, risky rows)``.
 
+    Ranks in place on packed keys, so ``score`` is overwritten.  Each
+    score is viewed as int64, which orders non-negative floats as the
+    floats (and negative ones below them all: they count as 0), and the
+    low ``b = (width - 1).bit_length()`` bits of the view are replaced
+    by the column.  One ``partition`` of the keys gives the cut and the
+    columns together.  Within one truncation step (``2**b`` ulps)
+    columns rank by index, and the scores returned are the truncated
+    ones decoded from the keys, clamped at 0.  Rows wider than
+    ``2 ** _ID_BITS`` take ``argpartition`` on the scores instead.
+
     A row is certified when its ``(t+1)``-th score exceeds its ``t``-th
     by more than ``margin`` plus the rounding of the scores themselves
-    (relative to the ``(t+1)``-th score's magnitude): rounding then
-    cannot have ranked a true top-``t`` candidate below the cut.  The
-    rows left are *risky*; rows whose ``(t+1)``-th score is ``inf``
-    (padding) are always certified.
+    (relative to the ``(t+1)``-th score's magnitude) plus the
+    truncation (``2**b`` ulps of the ``(t+1)``-th score): rounding and
+    truncation then cannot have ranked a true top-``t`` candidate below
+    the cut.  The rows left are *risky*; rows whose ``(t+1)``-th score
+    is ``inf`` (padding) are always certified.
     """
-    part = np.argpartition(score, t, axis=1)
-    rows = np.arange(score.shape[0])[:, None]
-    top = part[:, :t]
-    kept = score[rows, top]
-    beyond = score[rows[:, 0], part[:, t]]
-    slack = margin + _MARGIN_ULPS * _EPS * np.abs(beyond)
+    width = score.shape[1]
+    if width > 1 << _ID_BITS:
+        part = np.argpartition(score, t, axis=1)
+        rows = np.arange(score.shape[0])[:, None]
+        top = part[:, :t]
+        kept = score[rows, top]
+        beyond = score[rows[:, 0], part[:, t]]
+        slack = margin + _MARGIN_ULPS * _EPS * np.abs(beyond)
+    else:
+        b = (width - 1).bit_length()
+        low = (1 << b) - 1
+        keys = score.view(np.int64)
+        keys &= ~low
+        keys |= np.arange(width)
+        keys.partition(t, axis=1)
+        top = keys[:, :t] & low
+        # Negative scores (cancellation below 0, or -0.0) view as
+        # negative ints, below every other key, so the cut takes them
+        # first; decoding clamps them to +0.0, which never moves a score
+        # away from its true, non-negative value.
+        head = keys[:, : t + 1] & ~low
+        np.maximum(head, 0, out=head)
+        head = head.view(np.float64)
+        kept, beyond = head[:, :t], head[:, t]
+        slack = margin + _MARGIN_ULPS * _EPS * beyond + (1 << b) * np.spacing(beyond)
     risky = np.flatnonzero(
         (beyond <= kept.max(axis=1) + slack) & np.isfinite(beyond)
     )
     return top, kept, risky
+
+
+def _exact_distances(q: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Exact float64 distances between broadcastable ``(..., 3)`` arrays.
+
+    The loop paths' kernel, ``sqrt(((q - c)^2).sum(axis=-1))``, summed
+    column by column as ``(d0*d0 + d1*d1) + d2*d2``: NumPy sums a
+    length-3 last axis in that order, so the bits are the same, but the
+    reduction ran ~4x slower than two elementwise adds on 4k rows.
+    ``tests/kdtree/test_exact_kernel.py`` pins the two together.
+    """
+    d = q - c
+    d *= d
+    s = d[..., 0] + d[..., 1]
+    s += d[..., 2]
+    return np.sqrt(s, out=s)
 
 
 def _reselect(
@@ -501,17 +561,16 @@ def _reselect(
     """Exact top-``t`` columns of each row of candidates.
 
     ``pts`` are the ``(R, C, 3)`` coordinates of the ``(R, C)`` candidate
-    ``ids`` (``-1`` padded).  Ranks on the loop paths' own float64
-    ``((q - c)^2).sum()``, ties by ascending id, and returns the columns
-    with their squared distances, both ``(R, t)``.  The fallback for
-    rows :func:`_cut` cannot certify.
+    ``ids`` (``-1`` padded).  Ranks on the loop paths' own exact
+    distances (:func:`_exact_distances`), ties by ascending id, and
+    returns the columns with their distances, both ``(R, t)``.  The
+    fallback for rows :func:`_cut` cannot certify.
     """
     from repro.kdtree.search import PAD_INDEX
 
-    diff = qg[:, None, :] - pts
-    d2 = np.where(ids != PAD_INDEX, (diff * diff).sum(axis=2), np.inf)
-    top = np.lexsort((ids, d2))[:, :t]
-    return top, np.take_along_axis(d2, top, axis=1)
+    dist = np.where(ids != PAD_INDEX, _exact_distances(qg[:, None, :], pts), np.inf)
+    top = np.lexsort((ids, dist))[:, :t]
+    return top, np.take_along_axis(dist, top, axis=1)
 
 
 def _certified_top(
@@ -520,10 +579,10 @@ def _certified_top(
 ) -> tuple[np.ndarray, int]:
     """Each row's ``t`` best columns of one bucket's scores ``d2``.
 
-    The :func:`_cut` is certified by the bucket frame's ``margin``; rows
-    it cannot certify are re-selected on exact distances over the
-    bucket's ``members`` (coordinates ``pts``).  Returns the columns
-    and the number of rows re-selected.
+    The :func:`_cut` (which overwrites ``d2``) is certified by the
+    bucket frame's ``margin``; rows it cannot certify are re-selected
+    on exact distances over the bucket's ``members`` (coordinates
+    ``pts``).  Returns the columns and the number of rows re-selected.
     """
     top, _, risky = _cut(d2, margin, t)
     if risky.size:
@@ -546,10 +605,8 @@ def _exact_rows(
     """
     from repro.kdtree.search import PAD_INDEX
 
-    valid = ids != PAD_INDEX
-    diff = qg[:, None, :] - pts
-    dists = np.sqrt((diff * diff).sum(axis=2))
-    dists[~valid] = np.inf
+    dists = _exact_distances(qg[:, None, :], pts)
+    dists[ids == PAD_INDEX] = np.inf
     order = np.argsort(dists, axis=1, kind="stable")
     rows = np.arange(ids.shape[0])[:, None]
     idx = ids[rows, order]
@@ -756,11 +813,12 @@ def _pair_topk(
             top, kept, risky = _cut(padded, margin, t)
             if risky.size:
                 reselected += risky.size
-                ok = np.isfinite(padded[risky])
+                # The cut ranked ``padded`` in place; a row's candidates
+                # are the first ``cnt`` cells of ``where``.
+                ok = np.arange(w) < cnt[risky, None]
                 ids = np.where(ok, flat.bucket_members.take(where[risky]), PAD_INDEX)
                 pts = store.points.take(where[risky], axis=0)
-                top[risky] = _reselect(qc[risky], pts, ids, t)[0]
-                kept[risky] = np.take_along_axis(padded[risky], top[risky], axis=1)
+                top[risky], kept[risky] = _reselect(qc[risky], pts, ids, t)
             at = np.take_along_axis(where, top, axis=1)
         else:
             kept, at = padded, where

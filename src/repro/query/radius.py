@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry import PointCloud
-from repro.kdtree.engine import FlatKdTree, _bucket_runs
+from repro.kdtree.engine import FlatKdTree, _bucket_runs, _exact_distances
 from repro.obs import get_registry
 from repro.query.result import RaggedResult, build_ragged
 
@@ -143,8 +143,7 @@ def radius_batched(
                     continue
                 # Exact re-derivation with the per-query paths' kernel;
                 # the inclusion decision happens on these values only.
-                diff = qb[gi] - store.points[lo:hi][bj]
-                dist = np.sqrt((diff * diff).sum(axis=1))
+                dist = _exact_distances(qb[gi], store.points[lo:hi][bj])
                 inside = dist <= radius
                 pair_q.append(qids[gi[inside]])
                 pair_i.append(members[lo:hi][bj[inside]])

@@ -8,8 +8,8 @@ Three subcommands:
   reason to exist; the acceptance bar is >= 3x on the paper's
   30k-point operating frame.  With ``--backend process`` a thread
   reference arm also runs, so the report carries
-  ``process_speedup_vs_thread``; ``--bench-json`` writes the
-  committed-trajectory artifact (``BENCH_serve.json`` schema) with
+  ``process_speedup_vs_thread``; ``--bench-json`` writes a
+  trajectory record (``quicknn-bench-serve/v1`` schema) with
   machine-normalized numbers and honesty notes.
 * ``load`` — open-loop Poisson arrivals at a fixed offered rate;
   reports latency percentiles and typed shed/timeout counts.  With
@@ -258,7 +258,7 @@ def _machine_info() -> dict:
 
 
 def _bench_artifact(bench: dict, args) -> dict:
-    """The ``BENCH_serve.json`` committed-trajectory artifact.
+    """The ``--bench-json`` trajectory record (``quicknn-bench-serve/v1``).
 
     Throughputs are additionally normalized per CPU core so numbers
     from different machines land on comparable footing, and
@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="closed-loop runs per arm; best-of is reported "
                        "(default: 3)")
     bench.add_argument("--bench-json", metavar="PATH", default=None,
-                       help="write the BENCH_serve.json trajectory artifact "
+                       help="write the trajectory record "
                        "(schema'd, machine-normalized) to PATH")
     bench.set_defaults(func=_cmd_bench)
 
