@@ -6,7 +6,7 @@ Two trajectory points over one accumulated city-block map:
   stage, per-block trees) at the configured worker count, in points
   per second.  The entry records the inline (1-worker) time and the
   machine's core count alongside, because on a 1-core runner the
-  worker processes only add spawn overhead — the honesty note the
+  worker threads only add pool overhead — the honesty note the
   committed baseline carries.
 * ``engine.blocked_vs_monolithic`` — exact routed queries through the
   :class:`~repro.kdtree.blocked.BlockedIndex` under a small
@@ -14,8 +14,8 @@ Two trajectory points over one accumulated city-block map:
   engine's rate on the same queries recorded for the ratio.
 
 Correctness is asserted the same way the serve layer does: distance
-rows bit-identical to the monolithic engine, index rows allowed to
-differ only among exact-duplicate coordinates.
+and index rows bit-identical to the monolithic engine (every path
+ranks by distance, then id).
 """
 
 import time
@@ -129,8 +129,8 @@ def test_blocked_build_parallel(benchmark, bench_build, city_map, tmp_path):
     parallel_s = min(parallel_times)
     if cores == 1:
         bench_build.derived["blocked_parallel_note"] = (
-            f"recorded on a 1-core machine: the {WORKERS}-worker build pays "
-            f"process spawn + shm handoff overhead ({parallel_s:.2f}s vs "
+            f"recorded on a 1-core machine: the {WORKERS}-thread build pays "
+            f"thread-pool overhead ({parallel_s:.2f}s vs "
             f"{inline_s:.2f}s inline) with no cores to win it back; on "
             "multi-core hardware the same entry should beat inline_s"
         )
@@ -163,11 +163,7 @@ def test_query_blocked_vs_monolithic(benchmark, bench_engine, city_map,
     truth, _ = knn_exact_batched(flat, queries, K)
     result = index.query(queries, K)
     np.testing.assert_array_equal(result.distances, truth.distances)
-    differs = result.indices != truth.indices
-    if differs.any():
-        np.testing.assert_array_equal(
-            xyz[result.indices[differs]], xyz[truth.indices[differs]]
-        )
+    np.testing.assert_array_equal(result.indices, truth.indices)
 
     mono_s = min(_timed_runs(lambda: knn_exact_batched(flat, queries, K),
                              rounds=3))

@@ -1,7 +1,9 @@
 """Functional Units: the distance-compare datapath of Figure 4.
 
 A Functional Unit (FU) holds one query point and a running sorted list
-of the k best candidates seen so far.  Reference points are broadcast
+of the k best candidates seen so far, in the repo's one neighbour order
+(:class:`~repro.kdtree.ranking.RunningTopK`: ascending distance, ties
+by ascending index).  Reference points are broadcast
 to all FUs one per cycle; each FU computes the squared distance and
 conditionally inserts into its list.  The same FU design is shared by
 the linear architecture (scanning whole frames) and QuickNN's TSearch
@@ -16,6 +18,8 @@ points in ``n_candidates`` cycles plus a fixed pipeline fill/drain.
 from __future__ import annotations
 
 import numpy as np
+
+from repro.kdtree.ranking import RunningTopK
 
 #: Pipeline depth of the FU datapath: subtract, square, accumulate,
 #: compare/insert stages.
@@ -33,21 +37,12 @@ class FunctionalUnit:
             raise ValueError("k must be positive")
         self.query = query
         self.k = k
-        self._indices: list[int] = []
-        self._distances: list[float] = []
+        self._best = RunningTopK(k)
 
     def process(self, index: int, point: np.ndarray) -> None:
         """Consume one broadcast reference point."""
         diff = np.asarray(point, dtype=np.float64) - self.query
-        dist = float(np.sqrt((diff * diff).sum()))
-        if len(self._distances) == self.k and dist >= self._distances[-1]:
-            return
-        pos = int(np.searchsorted(np.asarray(self._distances), dist))
-        self._indices.insert(pos, index)
-        self._distances.insert(pos, dist)
-        if len(self._distances) > self.k:
-            self._indices.pop()
-            self._distances.pop()
+        self._best.push([index], [float(np.sqrt((diff * diff).sum()))])
 
     def process_batch(self, indices: np.ndarray, points: np.ndarray) -> None:
         for i, p in zip(indices, points):
@@ -55,11 +50,7 @@ class FunctionalUnit:
 
     def results(self) -> tuple[np.ndarray, np.ndarray]:
         """(indices, distances), padded with -1/inf to length k."""
-        idx = np.full(self.k, -1, dtype=np.int64)
-        dst = np.full(self.k, np.inf)
-        idx[: len(self._indices)] = self._indices
-        dst[: len(self._distances)] = self._distances
-        return idx, dst
+        return self._best.rows()
 
 
 def fu_batch_cycles(n_queries: int, n_candidates: int, n_fus: int) -> int:

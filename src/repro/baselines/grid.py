@@ -18,7 +18,8 @@ import numpy as np
 
 from repro.geometry import PointCloud
 from repro.modality import UnsupportedQueryMixin
-from repro.kdtree.search import PAD_INDEX, QueryResult, _insert_bounded
+from repro.kdtree.ranking import PAD_INDEX, RunningTopK
+from repro.kdtree.search import QueryResult
 
 
 @dataclass(frozen=True)
@@ -88,16 +89,13 @@ class GridIndex(UnsupportedQueryMixin):
         indices = np.full((m, k), PAD_INDEX, dtype=np.int64)
         distances = np.full((m, k), np.inf)
         for i in range(m):
-            idx, dst = self._query_single(q[i], k)
-            indices[i, : len(idx)] = idx
-            distances[i, : len(dst)] = dst
+            indices[i], distances[i] = self._query_single(q[i], k)
         return QueryResult(indices=indices, distances=distances)
 
-    def _query_single(self, point: np.ndarray, k: int) -> tuple[list[int], list[float]]:
+    def _query_single(self, point: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         size = self.config.cell_size
         home = tuple(np.floor(point / size).astype(np.int64))
-        best_idx: list[int] = []
-        best_dst: list[float] = []
+        best = RunningTopK(k)
         ring = 0
         # The largest possible ring: enough to cover the whole data.
         max_ring = 1 + int(
@@ -106,18 +104,16 @@ class GridIndex(UnsupportedQueryMixin):
         while ring <= max_ring:
             # Once k candidates are held, a further ring can only help if
             # its nearest face is closer than the current k-th distance.
-            if len(best_dst) == k and (ring - 1) * size > best_dst[-1]:
+            if (ring - 1) * size > best.worst():
                 break
             for key in self._ring_cells(home, ring):
                 members = self._cells.get(key)
                 if members is None:
                     continue
                 diffs = self.points[members] - point
-                dists = np.sqrt((diffs * diffs).sum(axis=1))
-                for ci, cd in zip(members, dists):
-                    _insert_bounded(best_idx, best_dst, int(ci), float(cd), k)
+                best.push(members, np.sqrt((diffs * diffs).sum(axis=1)))
             ring += 1
-        return best_idx, best_dst
+        return best.rows()
 
     @staticmethod
     def _ring_cells(home: tuple[int, int, int], ring: int):

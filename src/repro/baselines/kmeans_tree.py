@@ -18,7 +18,8 @@ import numpy as np
 
 from repro.geometry import PointCloud
 from repro.modality import UnsupportedQueryMixin
-from repro.kdtree.search import PAD_INDEX, QueryResult, _top_k
+from repro.kdtree.ranking import PAD_INDEX, top_k
+from repro.kdtree.search import QueryResult
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ class KMeansTree(UnsupportedQueryMixin):
                 continue
             diffs = self.points[members] - q[i]
             dists = np.sqrt((diffs * diffs).sum(axis=1))
-            indices[i], distances[i] = _top_k(dists, members, k)
+            indices[i], distances[i] = top_k(members, dists, k)
         return QueryResult(indices=indices, distances=distances)
 
     def _descend(self, point: np.ndarray) -> _Node:

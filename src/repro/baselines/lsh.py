@@ -20,7 +20,8 @@ import numpy as np
 
 from repro.geometry import PointCloud
 from repro.modality import UnsupportedQueryMixin
-from repro.kdtree.search import PAD_INDEX, QueryResult, _top_k
+from repro.kdtree.ranking import PAD_INDEX, top_k
+from repro.kdtree.search import QueryResult
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ class LshIndex(UnsupportedQueryMixin):
                 continue
             diffs = self.points[candidates] - q[i]
             dists = np.sqrt((diffs * diffs).sum(axis=1))
-            indices[i], distances[i] = _top_k(dists, candidates, k)
+            indices[i], distances[i] = top_k(candidates, dists, k)
         return QueryResult(indices=indices, distances=distances)
 
     def _candidates(self, keys_per_table: list[np.ndarray], i: int) -> np.ndarray:

@@ -61,13 +61,13 @@ def blocked_build(
     """Out-of-core blocked build + budget-bounded exact serving.
 
     The shape checks are the blocked layer's contract: exactness
-    against the monolithic engine (distances bit-identical, index rows
-    interchangeable only among duplicate coordinates), the resident
-    cache honoring its budget under eviction pressure, and the serving
-    phase's RSS growth staying within the block-budget working set
-    rather than the whole map.  The parallel-vs-inline comparison is
-    reported honestly: with one usable core, process fan-out pays spawn
-    overhead for no speedup, and the check degrades to recording that.
+    against the monolithic engine (distance and index rows
+    bit-identical), the resident cache honoring its budget under
+    eviction pressure, and the serving phase's RSS growth staying
+    within the block-budget working set rather than the whole map.
+    The parallel-vs-inline comparison is reported honestly: with one
+    usable core, the build's thread pool pays its overhead for no
+    speedup, and the check degrades to recording that.
     """
     cores = os.cpu_count() or 1
     with tempfile.TemporaryDirectory(prefix="qknn-blocked-exp-") as tmp:
@@ -124,20 +124,12 @@ def blocked_build(
         rss_growth = max(0, _rss_bytes() - rss_before)
         stats = index.stats()
 
-        source_xyz = np.asarray(source)
-        map_bytes = source_xyz.nbytes
+        map_bytes = np.asarray(source).nbytes
 
     distances_identical = bool(
         np.array_equal(result.distances, truth.distances)
     )
-    differs = result.indices != truth.indices
-    ties_ok = bool(
-        not differs.any()
-        or np.array_equal(
-            source_xyz[result.indices[differs]],
-            source_xyz[truth.indices[differs]],
-        )
-    )
+    indices_identical = bool(np.array_equal(result.indices, truth.indices))
 
     # The serving working set: the budgeted blocks (mapped structure +
     # derived arrays) plus merge scratch — generously doubled, but far
@@ -152,14 +144,14 @@ def blocked_build(
         parallel_ok = True
     elif one_core:
         parallel_note = (
-            f"1 usable core: {workers}-worker build pays spawn overhead "
+            f"1 usable core: {workers}-thread build pays pool overhead "
             f"({parallel_s:.2f}s vs {inline_s:.2f}s inline) — recorded, "
             "not asserted"
         )
         parallel_ok = True
     else:
         parallel_note = (
-            f"{cores} cores: {workers}-worker build {parallel_s:.2f}s "
+            f"{cores} cores: {workers}-thread build {parallel_s:.2f}s "
             f"vs monolithic {mono_build_s:.2f}s"
         )
         parallel_ok = parallel_s < mono_build_s
@@ -198,7 +190,7 @@ def blocked_build(
         notes=parallel_note,
         shape_checks={
             "distances bit-identical to monolithic": distances_identical,
-            "index ties only among duplicate coordinates": ties_ok,
+            "index rows bit-identical to monolithic": indices_identical,
             "resident blocks within budget": (
                 stats["resident_blocks"] <= max_resident_blocks
             ),

@@ -4,10 +4,9 @@ Every other layer of the repo measures KITTI-frame scale (~30k points);
 accumulated maps are 1M-100M.  Following FractalCloud's
 partition-parallel, locality-first argument, this module splits a huge
 cloud spatially, builds one :class:`~repro.kdtree.engine.FlatKdTree`
-per block with the level-synchronous builder — optionally fanned out
-across worker processes with points handed over through
-:mod:`repro.serve.shm` segments — and stitches the blocks under a
-top-level :class:`BlockedIndex` router:
+per block with the level-synchronous builder — optionally on a pool of
+threads, since the NumPy-bound builder releases the GIL — and stitches
+the blocks under a top-level :class:`BlockedIndex` router:
 
 * **Partitioning** is a string knob (:data:`PARTITIONERS`): ``"grid"``
   bins into a uniform cell grid sized to the cloud's extents;
@@ -22,13 +21,12 @@ top-level :class:`BlockedIndex` router:
   :data:`repro.eviction.EVICTION` registry.
 * **Queries stay exact.**  Each query visits blocks in ascending order
   of squared AABB lower bound and stops as soon as the next bound
-  exceeds its current k-th distance; rows merge through the serve
-  layer's :func:`~repro.serve.sharding.merge_topk` (ascending
-  distance, ties by ascending global id),
-  so answers match a monolithic exact build the same way sharded
-  serving does: distance rows bit-identical always, index rows
-  bit-identical except among exact-duplicate coordinates (which are
-  interchangeable by construction).
+  exceeds its current k-th distance; rows merge through
+  :func:`~repro.kdtree.ranking.merge_topk` in the one neighbour order
+  (ascending distance, ties by ascending global id; a block's local
+  ids ascend with its global ids), so answers are bit-identical to a
+  monolithic exact build, indices and distances, duplicate coordinates
+  included — the same contract sharded serving keeps.
 
 Typical use::
 
@@ -48,7 +46,7 @@ import json
 import os
 import tempfile
 import time
-import uuid
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator
@@ -60,7 +58,8 @@ from repro.geometry import PointCloud
 from repro.kdtree.config import KdTreeConfig
 from repro.kdtree.engine import FlatKdTree, knn_approx_batched, knn_exact_batched
 from repro.kdtree.flat_build import build_flat
-from repro.kdtree.search import PAD_INDEX, QueryResult
+from repro.kdtree.ranking import PAD_INDEX, merge_topk
+from repro.kdtree.search import QueryResult, _as_query_array
 from repro.kdtree.snapshot import Snapshot
 from repro.obs import get_registry
 from repro.registry import Registry
@@ -233,9 +232,10 @@ class BlockedBuildConfig:
         Spatial split, from :data:`PARTITIONERS` (``"grid"`` or
         ``"kd-cut"``).
     workers:
-        Worker processes for the per-block tree builds.  ``1`` builds
-        inline; more fan blocks out over shared-memory point handoff.
-        Results are bit-identical for any worker count.
+        Threads for the per-block tree builds.  ``1`` builds inline;
+        more build blocks concurrently (the builder's NumPy passes
+        release the GIL).  Block files are byte-identical for any
+        worker count.
     tree:
         Per-block :class:`~repro.kdtree.config.KdTreeConfig`.
     sample_size:
@@ -390,22 +390,23 @@ def build_blocked(
     )
 
     # Pass 3: build one flat tree per block and snapshot it.  Each
-    # block's builder rng is seeded by block id, so results are
-    # identical whether blocks build inline or on worker processes.
+    # block's builder rng is seeded by block id, so the files are
+    # identical whether blocks build inline or on a thread pool.
     seed0 = int(rng.integers(0, 2**31 - 1))
     files = [f"block_{b:05d}.npz" for b in range(n_blocks)]
-    if config.workers > 1 and n_blocks > 1:
-        build_stats = _build_blocks_parallel(
-            staged, files, block_dir, config, seed0
+
+    def build_block(b: int) -> dict:
+        return _build_one_block(
+            staged.points(b), staged.ids(b), block_dir / files[b],
+            config.tree, seed0 + b,
         )
+
+    workers = min(config.workers, n_blocks)
+    if workers > 1:
+        with ThreadPoolExecutor(workers, thread_name_prefix="qknn-blk") as pool:
+            build_stats = list(pool.map(build_block, range(n_blocks)))
     else:
-        build_stats = [
-            _build_one_block(
-                staged.points(b), staged.ids(b), block_dir / files[b],
-                config.tree, seed0 + b,
-            )
-            for b in range(n_blocks)
-        ]
+        build_stats = [build_block(b) for b in range(n_blocks)]
     staged.cleanup()
 
     manifest = {
@@ -539,125 +540,6 @@ def _build_one_block(
 
 
 # ----------------------------------------------------------------------
-# Parallel per-block build over shared-memory point handoff
-# ----------------------------------------------------------------------
-def _block_build_worker(task_queue, result_queue) -> None:
-    """Worker loop: attach the block's segment, build, snapshot, reply."""
-    from repro.serve.shm import attach_segment, close_attachment
-
-    while True:
-        task = task_queue.get()
-        if task is None:
-            return
-        block, segment, out_path, tree_config, seed = task
-        try:
-            payload, shm = attach_segment(segment)
-            try:
-                stats = _build_one_block(
-                    payload["points"], payload["global_ids"],
-                    Path(out_path), tree_config, seed,
-                )
-            finally:
-                del payload
-                close_attachment(shm)
-            result_queue.put((block, stats, None))
-        except BaseException as exc:  # noqa: BLE001 - relayed to coordinator
-            result_queue.put((block, None, repr(exc)))
-
-
-def _build_blocks_parallel(
-    staged: _Stager, files, block_dir: Path, config, seed0: int
-) -> list[dict]:
-    """Fan per-block builds over worker processes.
-
-    The coordinator keeps at most ``workers + 1`` blocks' points alive
-    in shared-memory segments at a time (the PR 6 handoff machinery),
-    so peak memory stays a bounded window rather than the whole cloud.
-    """
-    import multiprocessing
-    import queue as queue_mod
-
-    from repro.serve.shm import create_segment, unlink_segment
-
-    ctx = multiprocessing.get_context("spawn")
-    n_blocks = len(files)
-    workers = min(config.workers, n_blocks)
-    task_queue = ctx.Queue()
-    result_queue = ctx.Queue()
-    procs = [
-        ctx.Process(
-            target=_block_build_worker,
-            args=(task_queue, result_queue),
-            daemon=True,
-        )
-        for _ in range(workers)
-    ]
-    for proc in procs:
-        proc.start()
-
-    prefix = f"qknn-blk-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-    segments: dict[int, object] = {}
-    stats: dict[int, dict] = {}
-    failures: list[str] = []
-    next_block = 0
-
-    def submit(block: int) -> None:
-        name = f"{prefix}-{block}"
-        segments[block] = create_segment(name, {
-            "points": np.ascontiguousarray(
-                staged.points(block), dtype=np.float64
-            ),
-            "global_ids": np.ascontiguousarray(
-                staged.ids(block), dtype=np.int64
-            ),
-        })
-        task_queue.put((
-            block, name, str(block_dir / files[block]),
-            config.tree, seed0 + block,
-        ))
-
-    try:
-        while next_block < n_blocks and len(segments) <= workers:
-            submit(next_block)
-            next_block += 1
-        while len(stats) + len(failures) < n_blocks:
-            try:
-                block, block_stats, error = result_queue.get(timeout=5.0)
-            except queue_mod.Empty:
-                # A worker killed mid-build (OOM, signal) never replies;
-                # surface that instead of waiting forever.
-                if not any(proc.is_alive() for proc in procs):
-                    raise RuntimeError(
-                        "all blocked-build workers died without reporting "
-                        f"results ({len(stats)}/{n_blocks} blocks built)"
-                    ) from None
-                continue
-            unlink_segment(segments.pop(block))
-            if error is not None:
-                failures.append(f"block {block}: {error}")
-            else:
-                stats[block] = block_stats
-            if next_block < n_blocks and not failures:
-                submit(next_block)
-                next_block += 1
-    finally:
-        for _ in procs:
-            task_queue.put(None)
-        for proc in procs:
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-        for shm in segments.values():
-            unlink_segment(shm)
-    if failures:
-        raise RuntimeError(
-            "blocked build failed on worker processes: "
-            + "; ".join(failures)
-        )
-    return [stats[b] for b in range(n_blocks)]
-
-
-# ----------------------------------------------------------------------
 # The router
 # ----------------------------------------------------------------------
 @dataclass
@@ -749,13 +631,7 @@ class BlockedIndex:
 
     def query(self, queries, k: int) -> QueryResult:
         """Exact k-NN over all blocks, AABB-pruned per query."""
-        from repro.serve.sharding import merge_topk
-
-        q = queries.xyz if isinstance(queries, PointCloud) else np.asarray(
-            queries, dtype=np.float64
-        )
-        if q.ndim != 2 or q.shape[1] != 3:
-            raise ValueError("queries must have shape (M, 3)")
+        q = _as_query_array(queries)
         if k < 1:
             raise ValueError("k must be positive")
         m = q.shape[0]
@@ -820,11 +696,7 @@ class BlockedIndex:
         applied after the global merge, never per block, so the result
         is bit-identical to a monolithic tree over the same cloud.
         """
-        from repro.query.radius import (
-            _as_query_array,
-            _check_radius,
-            radius_batched,
-        )
+        from repro.query.radius import _check_radius, radius_batched
         from repro.query.result import build_ragged
 
         radius = _check_radius(radius)

@@ -19,13 +19,23 @@ computation the same way the accelerator does:
   loop runs on the hot path, and a small batch runs no per-bucket loop.
 * :func:`knn_exact_batched` starts from that single-bucket answer,
   certifies the majority of queries exact through the leaf radius test
-  (k-th distance vs. the smallest splitting-plane margin crossed on the
-  way down), and resolves the rest in one *batched* backtracking pass:
-  a vectorized frontier walk collects every (query, bucket) pair the
-  branch-and-bound search could visit, all of those pairs are scored in
-  the same one routine, and each query takes one cut over its visited
-  members that can beat its home k-th distance.  There is no
-  per-bucket merge.
+  (k-th distance strictly below the smallest splitting-plane margin
+  crossed on the way down), and resolves the rest in one *batched*
+  backtracking pass: a vectorized frontier walk (the one radius search
+  also runs) collects every (query, bucket) pair the branch-and-bound
+  search could visit, all of those pairs are scored in the same one
+  routine, and each query takes one cut over its visited members that
+  can beat or tie its home k-th distance.  There is no per-bucket
+  merge.
+
+Every row is ranked in the one neighbour order of
+:mod:`repro.kdtree.ranking`: ascending distance, equal distances by
+ascending point id, padding last.  The per-query loops, the shard and
+block merges and a brute-force ``lexsort((id, distance))`` rank the
+same way, so answers agree index for index, duplicate coordinates
+included.  Exactness needs the ties too: the exact search forks into
+every slab that lies within (not only strictly inside) the k-th
+distance, where a smaller id at exactly that distance can wait.
 
 Candidate *selection* inside a bucket uses the classic
 ``|q|^2 - 2 q.c + |c|^2`` BLAS expansion in float64, evaluated in the
@@ -49,10 +59,10 @@ distances.  A cut over candidates scored in several frames is widened
 by the largest of their margins.  The final top-k and its reported
 distances are always decided on float64 distances recomputed from the
 raw coordinates with the per-query paths' ``sqrt(((q - c)^2).sum())``
-kernel (summed column by column, with the same bits), so results are
-element-for-element identical to the loop implementations (which
-remain available — and tested against — as ``knn_approx_loop`` /
-``knn_exact(engine=False)``).
+kernel (summed column by column, with the same bits), and ranked in
+the one neighbour order, so results are element-for-element identical
+to the loop implementations (which remain available — and tested
+against — as ``knn_approx_loop`` / ``knn_exact(engine=False)``).
 """
 
 from __future__ import annotations
@@ -60,6 +70,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kdtree.node import NO_NODE, KdTree
+from repro.kdtree.ranking import PAD_INDEX, rank, top_k
+from repro.kdtree.search import QueryResult, _as_query_array
 from repro.obs import get_registry
 
 
@@ -562,15 +574,14 @@ def _reselect(
 
     ``pts`` are the ``(R, C, 3)`` coordinates of the ``(R, C)`` candidate
     ``ids`` (``-1`` padded).  Ranks on the loop paths' own exact
-    distances (:func:`_exact_distances`), ties by ascending id, and
-    returns the columns with their distances, both ``(R, t)``.  The
-    fallback for rows :func:`_cut` cannot certify.
+    distances (:func:`_exact_distances`) in the canonical order
+    (:func:`~repro.kdtree.ranking.rank`), and returns the columns with
+    their distances, both ``(R, t)``.  The fallback for rows
+    :func:`_cut` cannot certify.
     """
-    from repro.kdtree.search import PAD_INDEX
-
     dist = np.where(ids != PAD_INDEX, _exact_distances(qg[:, None, :], pts), np.inf)
-    top = np.lexsort((ids, dist))[:, :t]
-    return top, np.take_along_axis(dist, top, axis=1)
+    order, _, dst = rank(ids, dist)
+    return order[:, :t], dst[:, :t]
 
 
 def _certified_top(
@@ -592,27 +603,20 @@ def _certified_top(
 
 
 def _exact_rows(
-    qg: np.ndarray, pts: np.ndarray, ids: np.ndarray
+    qg: np.ndarray, pts: np.ndarray, ids: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re-derive the reported distances of already-selected candidates
-    with the loop paths' exact kernel, and sort each row by them.
+    with the loop paths' exact kernel, and rank each row by them.
 
     ``pts`` are the ``(G, t, 3)`` coordinates of the ``(G, t)``
-    candidate ``ids`` (``-1`` padding).  Returns ``(indices,
-    distances)`` rows sorted ascending, ``-1`` / ``inf`` padded —
-    element-for-element what the per-query searches produce for the
-    same candidate sets.
+    candidate ``ids`` (``-1`` padding).  Returns each row's first ``k``
+    in the canonical order (:func:`~repro.kdtree.ranking.top_k`),
+    ``-1`` / ``inf`` padded — element-for-element what the per-query
+    searches produce for the same candidate sets.
     """
-    from repro.kdtree.search import PAD_INDEX
-
     dists = _exact_distances(qg[:, None, :], pts)
     dists[ids == PAD_INDEX] = np.inf
-    order = np.argsort(dists, axis=1, kind="stable")
-    rows = np.arange(ids.shape[0])[:, None]
-    idx = ids[rows, order]
-    dst = dists[rows, order]
-    idx[np.isinf(dst)] = PAD_INDEX
-    return idx, dst
+    return top_k(ids, dists, k)
 
 
 #: Candidate slots one pass of :func:`_pair_topk`'s second stage
@@ -670,8 +674,6 @@ def _pair_topk(
     Reported distances come from :func:`_exact_rows`.  Returns
     ``(indices, distances)`` of shape ``(len(q), k)``.
     """
-    from repro.kdtree.search import PAD_INDEX
-
     m = q.shape[0]
     indices = np.full((m, k), PAD_INDEX, dtype=np.int64)
     distances = np.full((m, k), np.inf)
@@ -709,9 +711,7 @@ def _pair_topk(
         if bound is None:
             top, n = _certified_top(qg, d2, margin, members, pts, t)
             reselected += n
-            idx, dst = _exact_rows(qg, pts[top], members[top])
-            indices[rs] = idx[:, :k]
-            distances[rs] = dst[:, :k]
+            indices[rs], distances[rs] = _exact_rows(qg, pts[top], members[top], k)
             continue
         # A row with at most t members inside its bound keeps them
         # unranked; only the rows with more need the cut.
@@ -824,10 +824,9 @@ def _pair_topk(
             kept, at = padded, where
         ids = flat.bucket_members.take(at)
         ids[np.isinf(kept)] = PAD_INDEX
-        idx, dst = _exact_rows(qc, store.points.take(at, axis=0), ids)
-        kk = min(k, idx.shape[1])
-        indices[rsel, :kk] = idx[:, :kk]
-        distances[rsel, :kk] = dst[:, :kk]
+        indices[rsel], distances[rsel] = _exact_rows(
+            qc, store.points.take(at, axis=0), ids, k
+        )
     if reselected:
         obs.counter("engine.select.reselected").inc(reselected)
     return indices, distances
@@ -863,12 +862,10 @@ def _home_topk(
 
 def knn_approx_batched(flat: FlatKdTree, queries: np.ndarray, k: int):
     """Single-bucket approximate kNN for a whole query batch at once."""
-    from repro.kdtree.search import QueryResult
-
     if k < 1:
         raise ValueError("k must be positive")
     obs = get_registry()
-    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    q = _as_query_array(queries)
     with obs.timer("engine.approx"):
         indices, distances = _home_topk(flat, q, flat.descend_fast(q), k)
     if obs.enabled:
@@ -880,36 +877,29 @@ def knn_approx_batched(flat: FlatKdTree, queries: np.ndarray, k: int):
 # ----------------------------------------------------------------------
 # Batched exact search
 # ----------------------------------------------------------------------
-def _collect_backtrack_visits(
-    flat: FlatKdTree,
-    q: np.ndarray,
-    unsettled: np.ndarray,
-    home_leaf: np.ndarray,
-    bound: np.ndarray,
+def _frontier_walk(
+    flat: FlatKdTree, q: np.ndarray, rows: np.ndarray, bound: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized frontier walk of the branch-and-bound visit set.
+    """Vectorized branch-and-bound walk: every leaf a row's ball reaches.
 
-    Re-descends every unsettled query from the root, always following
-    the near child and forking into the far child whenever the
-    splitting-plane margin is below the query's bound — exactly the
-    pruning rule of the per-query exact search, with the (already
-    computed) single-bucket k-th distance as a conservative bound.
-    Returns the ``(query_id, bucket_id)`` pairs to scan, excluding each
-    query's home leaf.
+    All ``rows`` of ``q`` walk down from the root together, always into
+    the near child and also into the far child whenever the splitting
+    plane lies within the row's ``bound[row]`` (inclusive, as in the
+    per-query searches: a point at exactly the bound can still count).
+    Returns the ``(row, leaf node)`` pairs reached, in arrival order:
+    leaves reached at a shallower level come first.  The exact kNN
+    search walks with each row's home k-th distance and drops the home
+    leaf; radius search walks with ``r`` and scans every leaf.
     """
-    frontier_q = unsettled.copy()
-    frontier_n = np.zeros(unsettled.size, dtype=np.int64)
+    frontier_q = rows.copy()
+    frontier_n = np.zeros(rows.size, dtype=np.int64)
     visit_q: list[np.ndarray] = []
-    visit_b: list[np.ndarray] = []
+    visit_n: list[np.ndarray] = []
     while frontier_q.size:
         at_leaf = flat.is_leaf[frontier_n]
         if at_leaf.any():
-            lq = frontier_q[at_leaf]
-            ln = frontier_n[at_leaf]
-            keep = ln != home_leaf[lq]
-            if keep.any():
-                visit_q.append(lq[keep])
-                visit_b.append(flat.bucket_id[ln[keep]])
+            visit_q.append(frontier_q[at_leaf])
+            visit_n.append(frontier_n[at_leaf])
             frontier_q = frontier_q[~at_leaf]
             frontier_n = frontier_n[~at_leaf]
             if frontier_q.size == 0:
@@ -919,13 +909,13 @@ def _collect_backtrack_visits(
         go_left = delta <= 0
         near = np.where(go_left, flat.left[frontier_n], flat.right[frontier_n])
         far = np.where(go_left, flat.right[frontier_n], flat.left[frontier_n])
-        fork = np.abs(delta) < bound[frontier_q]
+        fork = np.abs(delta) <= bound[frontier_q]
         frontier_n = np.concatenate([near, far[fork]])
         frontier_q = np.concatenate([frontier_q, frontier_q[fork]])
     if not visit_q:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    return np.concatenate(visit_q), np.concatenate(visit_b)
+    return np.concatenate(visit_q), np.concatenate(visit_n)
 
 
 def knn_exact_batched(
@@ -940,14 +930,15 @@ def knn_exact_batched(
 
     The stages: descend all queries (with plane margins) on the level
     plan; answer each from its home bucket; settle those whose k-th
-    distance beats every plane they crossed; collect the unsettled
-    queries' (query, bucket) visits in one frontier walk; score all
-    visits in one pass (a bucket many queries visit by one matmul, the
-    rest gathered), keeping per query only members that can beat its
-    home k-th distance; take one certified cut per query over them;
-    merge that with the home answer in one sort of exact distances.
-    The number of NumPy calls of a small batch does not grow with the
-    buckets it visits.
+    distance is strictly inside every plane they crossed; collect the
+    unsettled queries' (query, bucket) visits in one frontier walk;
+    score all visits in one pass (a bucket many queries visit by one
+    matmul, the rest gathered), keeping per query only members that can
+    beat or tie its home k-th distance; take one certified cut per
+    query over them; merge that with the home answer in one canonical
+    ranking of exact distances (ties by ascending id).  The number of
+    NumPy calls of a small batch does not grow with the buckets it
+    visits.
 
     ``tree`` may be a :class:`~repro.kdtree.node.KdTree` or a
     :class:`FlatKdTree` (e.g. loaded from a snapshot) — the search only
@@ -963,14 +954,12 @@ def knn_exact_batched(
     Returns ``(result, visits)`` where ``visits`` counts buckets
     scanned per query (1 for every query the radius test settles).
     """
-    from repro.kdtree.search import QueryResult
-
     if k < 1:
         raise ValueError("k must be positive")
     if max_visits is not None and max_visits < 0:
         raise ValueError("max_visits must be non-negative")
     obs = get_registry()
-    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    q = _as_query_array(queries)
     with obs.timer("engine.exact"):
         indices, distances, visits = _exact_batched_impl(
             tree, q, k, obs, max_visits=max_visits
@@ -1008,11 +997,11 @@ def _exact_batched_impl(
     visits = np.ones(q.shape[0], dtype=np.int64)
 
     # Leaf radius test: a query is settled iff it found k neighbors all
-    # closer than every splitting plane it crossed — backtracking could
-    # not improve it (the exact search prunes the far side of a plane
-    # unless its margin is below the current k-th best).
+    # strictly closer than every splitting plane it crossed — nothing
+    # across a plane can then beat or tie its k-th distance (the exact
+    # search backtracks across a plane whose margin is within it).
     kth = distances[:, k - 1]
-    unsettled = np.flatnonzero(~(kth <= margins))
+    unsettled = np.flatnonzero(~(kth < margins))
     if obs.enabled:
         obs.counter("engine.exact.unsettled").inc(int(unsettled.size))
     if unsettled.size == 0:
@@ -1021,7 +1010,9 @@ def _exact_batched_impl(
     if max_visits == 0:
         return indices, distances, visits
 
-    vq, vb = _collect_backtrack_visits(flat, q, unsettled, leaf_ids, kth)
+    vq, leaves = _frontier_walk(flat, q, unsettled, kth)
+    away = leaves != leaf_ids[vq]
+    vq, vb = vq[away], flat.bucket_id[leaves[away]]
     if max_visits is not None and vq.size:
         before = vq.size
         vq, vb = _truncate_visits(vq, vb, max_visits)
@@ -1035,18 +1026,18 @@ def _exact_batched_impl(
 
     # One pass over every visited (query, bucket) pair gives each
     # touched query the k nearest of its visited members that can beat
-    # its home k-th distance; with its home top-k they hold its true k
-    # nearest.  Both carry exact distances, so one stable sort of the 2k
-    # picks the answer.  Queries the radius test missed but backtracking
-    # never reached keep their home answer untouched.
+    # or tie its home k-th distance; with its home top-k they hold its
+    # true k nearest.  Both carry exact distances, so one canonical
+    # ranking of the 2k picks the answer.  Queries the radius test
+    # missed but backtracking never reached keep their home answer.
     visits += np.bincount(vq, minlength=q.shape[0])
     touched = np.unique(vq)
     near_idx, near_dst = _pair_topk(
         flat, q[touched], np.searchsorted(touched, vq), vb, k, kth[touched]
     )
-    ids = np.concatenate([indices[touched], near_idx], axis=1)
-    dst = np.concatenate([distances[touched], near_dst], axis=1)
-    best = np.argsort(dst, axis=1, kind="stable")[:, :k]
-    indices[touched] = np.take_along_axis(ids, best, axis=1)
-    distances[touched] = np.take_along_axis(dst, best, axis=1)
+    indices[touched], distances[touched] = top_k(
+        np.concatenate([indices[touched], near_idx], axis=1),
+        np.concatenate([distances[touched], near_dst], axis=1),
+        k,
+    )
     return indices, distances, visits

@@ -24,7 +24,8 @@ from repro.modality import UnsupportedQueryMixin
 from repro.kdtree.builders import BUILDERS
 from repro.kdtree.config import KdTreeConfig
 from repro.kdtree.node import NO_NODE, KdNode, KdTree
-from repro.kdtree.search import PAD_INDEX, QueryResult, _insert_bounded
+from repro.kdtree.ranking import PAD_INDEX, RunningTopK, top_k
+from repro.kdtree.search import QueryResult
 from repro.obs import get_registry
 
 
@@ -342,8 +343,7 @@ class KdForest(UnsupportedQueryMixin):
 
         for i in range(m):
             point = q[i]
-            best_idx: list[int] = []
-            best_dst: list[float] = []
+            best = RunningTopK(k)
             seen: set[int] = set()
             heap: list[tuple[float, int, int, int]] = [
                 (0.0, t, 0, tree.ROOT) for t, tree in enumerate(self.trees)
@@ -353,7 +353,7 @@ class KdForest(UnsupportedQueryMixin):
             visited = 0
             while heap and visited < max_leaves:
                 bound, t, _, node_index = heapq.heappop(heap)
-                if len(best_dst) == k and bound >= best_dst[-1]:
+                if bound >= best.worst():
                     break
                 tree = self.trees[t]
                 node = tree.nodes[node_index]
@@ -367,19 +367,17 @@ class KdForest(UnsupportedQueryMixin):
                     counter += 1
                     node = tree.nodes[near]
                 visited += 1
-                members = tree.buckets[node.bucket_id]
+                # A point several trees hold is offered once.
+                members = np.array(
+                    [ci for ci in tree.buckets[node.bucket_id].tolist() if ci not in seen],
+                    dtype=np.int64,
+                )
                 if members.size == 0:
                     continue
+                seen.update(members.tolist())
                 diffs = self.points[members] - point
-                dists = np.sqrt((diffs * diffs).sum(axis=1))
-                for ci, cd in zip(members, dists):
-                    ci = int(ci)
-                    if ci in seen:
-                        continue
-                    seen.add(ci)
-                    _insert_bounded(best_idx, best_dst, ci, float(cd), k)
-            indices[i, : len(best_idx)] = best_idx
-            distances[i, : len(best_dst)] = best_dst
+                best.push(members, np.sqrt((diffs * diffs).sum(axis=1)))
+            indices[i], distances[i] = best.rows()
         return QueryResult(indices=indices, distances=distances)
 
     # ------------------------------------------------------------------
@@ -392,7 +390,8 @@ class KdForest(UnsupportedQueryMixin):
         point found by several trees) are collapsed by sorting each row
         by point id and masking repeats — and the best k survive.
         A vectorized alternative to :meth:`query` when the leaf budget
-        per tree is 1.
+        per tree is 1.  Rows follow the one neighbour order
+        (:mod:`repro.kdtree.ranking`).
         """
         from repro.kdtree.engine import knn_approx_batched
 
@@ -410,9 +409,5 @@ class KdForest(UnsupportedQueryMixin):
         sdst = dst[rows, by_id]
         dup = (sidx[:, 1:] == sidx[:, :-1]) & (sidx[:, 1:] != PAD_INDEX)
         sdst[:, 1:][dup] = np.inf
-
-        by_dist = np.argsort(sdst, axis=1, kind="stable")[:, :k]
-        out_idx = sidx[rows, by_dist]
-        out_dst = sdst[rows, by_dist]
-        out_idx[np.isinf(out_dst)] = PAD_INDEX
+        out_idx, out_dst = top_k(sidx, sdst, k)
         return QueryResult(indices=out_idx, distances=out_dst)

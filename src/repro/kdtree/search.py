@@ -12,7 +12,9 @@ Two search modes, as in Section 2.2 of the paper:
   neighbors.
 
 Results use ``-1`` indices and ``inf`` distances to pad queries whose
-bucket holds fewer than ``k`` points.
+bucket holds fewer than ``k`` points.  Rows follow the one neighbour
+order of :mod:`repro.kdtree.ranking`: ascending distance, equal
+distances by ascending point id.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ import numpy as np
 
 from repro.geometry import PointCloud
 from repro.kdtree.node import KdTree
+from repro.kdtree.ranking import PAD_INDEX, RunningTopK, top_k
 from repro.registry import Registry
-
-PAD_INDEX = -1
 
 #: The ``engine=`` knob names, as a proper registry so unknown strings
 #: fail with the repo-wide message.  ``True`` / ``False`` remain accepted
@@ -67,7 +68,8 @@ class QueryResult:
     ``indices`` has shape ``(M, k)`` (into the tree's reference points,
     ``-1`` where fewer than ``k`` neighbors were found) and
     ``distances`` the matching Euclidean distances (``inf`` padding).
-    Both rows are sorted by ascending distance.
+    Rows are sorted by ascending distance, equal distances by
+    ascending index (:mod:`repro.kdtree.ranking`).
     """
 
     indices: np.ndarray
@@ -91,27 +93,20 @@ class QueryResult:
 
 
 def _as_query_array(queries) -> np.ndarray:
-    xyz = queries.xyz if isinstance(queries, PointCloud) else np.asarray(queries, dtype=np.float64)
-    xyz = np.atleast_2d(xyz)
+    """The one query check of every search entry point.
+
+    Accepts a :class:`PointCloud` or anything array-like of shape
+    ``(M, 3)`` (a single ``(3,)`` point is one row), ``M >= 0``, with
+    finite coordinates; anything else raises ``ValueError``.  Returns
+    the float64 ``(M, 3)`` array.
+    """
+    xyz = queries.xyz if isinstance(queries, PointCloud) else queries
+    xyz = np.atleast_2d(np.asarray(xyz, dtype=np.float64))
     if xyz.ndim != 2 or xyz.shape[1] != 3:
         raise ValueError("queries must have shape (M, 3)")
+    if not np.isfinite(xyz).all():
+        raise ValueError("queries must be finite (no NaN or inf coordinates)")
     return xyz
-
-
-def _top_k(dists: np.ndarray, candidate_idx: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest-k selection with padding; returns (indices, distances)."""
-    m = dists.shape[0]
-    if m > k:
-        part = np.argpartition(dists, k - 1)[:k]
-        order = part[np.argsort(dists[part], kind="stable")]
-    else:
-        order = np.argsort(dists, kind="stable")
-    idx = np.full(k, PAD_INDEX, dtype=np.int64)
-    dst = np.full(k, np.inf)
-    take = min(k, m)
-    idx[:take] = candidate_idx[order[:take]]
-    dst[:take] = dists[order[:take]]
-    return idx, dst
 
 
 def knn_approx(
@@ -126,14 +121,11 @@ def knn_approx(
     ``True``) or ``"loop"`` (alias ``False``, the original per-query
     reference implementation); both produce identical results.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    q = _as_query_array(queries)
     if _engine_name(engine) == "batched":
         from repro.kdtree.engine import knn_approx_batched
 
-        return knn_approx_batched(tree.flat(), q, k)
-    return knn_approx_loop(tree, q, k)
+        return knn_approx_batched(tree.flat(), queries, k)
+    return knn_approx_loop(tree, queries, k)
 
 
 def knn_approx_loop(tree: KdTree, queries, k: int) -> QueryResult:
@@ -162,7 +154,7 @@ def knn_approx_loop(tree: KdTree, queries, k: int) -> QueryResult:
         diff = q[members, None, :] - candidates[None, :, :]
         dists = np.sqrt((diff * diff).sum(axis=2))
         for row, qi in enumerate(members):
-            indices[qi], distances[qi] = _top_k(dists[row], candidate_idx, k)
+            indices[qi], distances[qi] = top_k(candidate_idx, dists[row], k)
     return QueryResult(indices=indices, distances=distances)
 
 
@@ -197,15 +189,14 @@ def knn_bbf(
 
     for i in range(m):
         point = q[i]
-        best_idx: list[int] = []
-        best_dst: list[float] = []
+        best = RunningTopK(k)
         # Heap of (lower-bound distance, tiebreak, node index).
         heap: list[tuple[float, int, int]] = [(0.0, 0, tree.ROOT)]
         visited_leaves = 0
         counter = 1
         while heap and visited_leaves < max_leaves:
             bound, _, node_index = heapq.heappop(heap)
-            if len(best_dst) == k and bound >= best_dst[-1]:
+            if bound >= best.worst():
                 break
             node = nodes[node_index]
             while not node.is_leaf:
@@ -222,11 +213,8 @@ def knn_bbf(
             if candidate_idx.size == 0:
                 continue
             diffs = tree.points[candidate_idx] - point
-            dists = np.sqrt((diffs * diffs).sum(axis=1))
-            for ci, cd in zip(candidate_idx, dists):
-                _insert_bounded(best_idx, best_dst, int(ci), float(cd), k)
-        indices[i, : len(best_idx)] = best_idx
-        distances[i, : len(best_dst)] = best_dst
+            best.push(candidate_idx, np.sqrt((diffs * diffs).sum(axis=1)))
+        indices[i], distances[i] = best.rows()
     return QueryResult(indices=indices, distances=distances)
 
 
@@ -290,7 +278,7 @@ def knn_exact(
     if _engine_name(engine) == "batched":
         from repro.kdtree.engine import knn_exact_batched
 
-        result, _ = knn_exact_batched(tree, _as_query_array(queries), k)
+        result, _ = knn_exact_batched(tree, queries, k)
         return result
     result, _ = knn_exact_instrumented(tree, queries, k)
     return result
@@ -321,52 +309,28 @@ def _exact_single(
     tree: KdTree, point: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Depth-first exact search with sibling pruning for one query."""
-    best_idx: list[int] = []
-    best_dst: list[float] = []
+    best = RunningTopK(k)
     visited = 0
-
-    def consider_bucket(bucket_id: int) -> None:
-        candidate_idx = tree.buckets[bucket_id]
-        if candidate_idx.size == 0:
-            return
-        diffs = tree.points[candidate_idx] - point
-        dists = np.sqrt((diffs * diffs).sum(axis=1))
-        for ci, cd in zip(candidate_idx, dists):
-            _insert_bounded(best_idx, best_dst, int(ci), float(cd), k)
-
-    def worst() -> float:
-        return best_dst[-1] if len(best_dst) == k else np.inf
 
     def visit(node_index: int) -> None:
         nonlocal visited
         node = tree.nodes[node_index]
         if node.is_leaf:
             visited += 1
-            consider_bucket(node.bucket_id)
+            candidate_idx = tree.buckets[node.bucket_id]
+            if candidate_idx.size:
+                diffs = tree.points[candidate_idx] - point
+                best.push(candidate_idx, np.sqrt((diffs * diffs).sum(axis=1)))
             return
         delta = point[node.dim] - node.threshold
         near, far = (node.left, node.right) if delta <= 0 else (node.right, node.left)
         visit(near)
-        # Backtrack into the far side only if its slab can beat the
-        # current k-th best distance.
-        if abs(delta) < worst():
+        # Backtrack into the far side unless its slab lies beyond the
+        # current k-th best distance: a point at exactly that distance
+        # with a smaller id still ranks first.
+        if abs(delta) <= best.worst():
             visit(far)
 
     visit(tree.ROOT)
-    idx = np.full(k, PAD_INDEX, dtype=np.int64)
-    dst = np.full(k, np.inf)
-    idx[: len(best_idx)] = best_idx
-    dst[: len(best_dst)] = best_dst
+    idx, dst = best.rows()
     return idx, dst, visited
-
-
-def _insert_bounded(idx: list[int], dst: list[float], i: int, d: float, k: int) -> None:
-    """Insert (i, d) into the sorted running top-k lists."""
-    if len(dst) == k and d >= dst[-1]:
-        return
-    pos = int(np.searchsorted(np.asarray(dst), d))
-    idx.insert(pos, i)
-    dst.insert(pos, d)
-    if len(dst) > k:
-        idx.pop()
-        dst.pop()

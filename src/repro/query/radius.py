@@ -5,12 +5,14 @@ clustering and normal estimation ask "everything within ``r``", not
 "the nearest ``k``" — and it reuses the exact machinery the batched
 kNN engine already has:
 
-* a **vectorized frontier walk** collects every ``(query, bucket)``
-  pair the branch-and-bound search would visit: all queries walk down
-  from the root together, always entering the near child and forking
-  into the far child whenever the splitting-plane margin is within the
-  radius (``|q[dim] - t| <= r`` — the same pruning rule as the
-  per-query :func:`repro.kdtree.search.radius_search`);
+* the exact kNN search's **vectorized frontier walk** collects every
+  ``(query, bucket)`` pair the branch-and-bound search would visit:
+  all queries walk down from the root together, always entering the
+  near child and forking into the far child whenever the
+  splitting-plane margin is within the radius (``|q[dim] - t| <= r``
+  — the same pruning rule as the per-query
+  :func:`repro.kdtree.search.radius_search`), and every leaf reached
+  is scanned;
 * per visited bucket, the whole (queries x members) visit matrix is
   **pre-filtered** with the float64 BLAS distance expansion evaluated
   in the bucket's own frame (:attr:`FlatKdTree.store
@@ -34,20 +36,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry import PointCloud
-from repro.kdtree.engine import FlatKdTree, _bucket_runs, _exact_distances
+from repro.kdtree.engine import (
+    FlatKdTree,
+    _bucket_runs,
+    _exact_distances,
+    _frontier_walk,
+)
+from repro.kdtree.search import _as_query_array
 from repro.obs import get_registry
 from repro.query.result import RaggedResult, build_ragged
-
-
-def _as_query_array(queries) -> np.ndarray:
-    xyz = queries.xyz if isinstance(queries, PointCloud) else np.asarray(
-        queries, dtype=np.float64
-    )
-    xyz = np.atleast_2d(np.asarray(xyz, dtype=np.float64))
-    if xyz.ndim != 2 or xyz.shape[1] != 3:
-        raise ValueError("queries must have shape (M, 3)")
-    return xyz
 
 
 def _check_radius(radius: float) -> float:
@@ -55,46 +52,6 @@ def _check_radius(radius: float) -> float:
     if not radius >= 0.0:
         raise ValueError("radius must be non-negative")
     return radius
-
-
-def _collect_radius_visits(
-    flat: FlatKdTree, q: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized frontier walk of the radius-search visit set.
-
-    Returns the ``(query_id, bucket_id)`` pairs whose bucket's region
-    intersects the query's ball.  Unlike the kNN backtracking walk
-    there is no home leaf to exclude — every reached leaf is scanned —
-    and the fork test is the radius itself, inclusive (``<=``) to
-    match the per-query reference's pruning rule exactly (``r = 0``
-    still forks across planes the query sits on).
-    """
-    m = q.shape[0]
-    frontier_q = np.arange(m, dtype=np.int64)
-    frontier_n = np.zeros(m, dtype=np.int64)
-    visit_q: list[np.ndarray] = []
-    visit_b: list[np.ndarray] = []
-    while frontier_q.size:
-        at_leaf = flat.is_leaf[frontier_n]
-        if at_leaf.any():
-            visit_q.append(frontier_q[at_leaf])
-            visit_b.append(flat.bucket_id[frontier_n[at_leaf]])
-            frontier_q = frontier_q[~at_leaf]
-            frontier_n = frontier_n[~at_leaf]
-            if frontier_q.size == 0:
-                break
-        dims = flat.dim[frontier_n]
-        delta = q[frontier_q, dims] - flat.threshold[frontier_n]
-        go_left = delta <= 0
-        near = np.where(go_left, flat.left[frontier_n], flat.right[frontier_n])
-        far = np.where(go_left, flat.right[frontier_n], flat.left[frontier_n])
-        fork = np.abs(delta) <= radius
-        frontier_n = np.concatenate([near, far[fork]])
-        frontier_q = np.concatenate([frontier_q, frontier_q[fork]])
-    if not visit_q:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(visit_q), np.concatenate(visit_b)
 
 
 def radius_batched(
@@ -118,7 +75,9 @@ def radius_batched(
     flat = tree.flat()
     m = q.shape[0]
     with obs.timer("engine.radius"):
-        vq, vb = _collect_radius_visits(flat, q, radius)
+        # ``r = 0`` still forks across planes a query sits on.
+        vq, leaves = _frontier_walk(flat, q, np.arange(m), np.full(m, radius))
+        vb = flat.bucket_id[leaves]
         pair_q: list[np.ndarray] = []
         pair_i: list[np.ndarray] = []
         pair_d: list[np.ndarray] = []

@@ -2,19 +2,15 @@
 
 A shard plan partitions the reference cloud's point ids into disjoint
 subsets; each shard builds its own k-d tree over its subset and every
-query fans out to all shards.  Because the engine reports exact
-float64 distances computed by the same kernel regardless of which
-shard holds a point, merging the per-shard top-k lists recovers the
-global top-k *distances* bit-identically for any shard count: a shard
-can only cut a candidate at its local k boundary when it keeps another
-candidate at exactly the same distance, so the merged distance rows
-always equal the single-index exact answer.  :func:`merge_topk` orders
-each row canonically — ascending distance, ties broken by ascending
-point id — which also pins the *indices* whenever a row has no
-exact-duplicate distances.  The one remaining freedom is which of
-several exactly-tied candidates straddling a k boundary gets reported
-(they are interchangeable by construction); everything else is
-deterministic and shard-count invariant.
+query fans out to all shards.  Every kNN path ranks in the one
+neighbour order of :mod:`repro.kdtree.ranking` — ascending distance,
+ties by ascending point id, padding last — on exact float64 distances
+computed by the same kernel whichever shard holds a point.  A shard's
+local ids ascend with its global ids (both strategies keep their id
+arrays sorted), so each shard's top-k is the global order restricted
+to its points, and :func:`merge_topk` of the shard lists is the
+single-index exact answer bit for bit, indices and distances, for any
+shard count — duplicate coordinates included.
 
 Two strategies:
 
@@ -35,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kdtree.engine import FlatKdTree, knn_approx_batched, knn_exact_batched
-from repro.kdtree.search import PAD_INDEX
+from repro.kdtree.ranking import PAD_INDEX, merge_topk
 from repro.kdtree.snapshot import Snapshot
 from repro.registry import Registry
 
@@ -43,6 +39,15 @@ from repro.registry import Registry
 #: ``ServeConfig.sharding`` validates).  Each entry is called as
 #: ``strategy(xyz, n_shards)`` and returns the per-shard id tuple.
 STRATEGIES: Registry = Registry("sharding strategy")
+
+__all__ = [
+    "STRATEGIES",
+    "ShardPlan",
+    "ShardState",
+    "make_plan",
+    "merge_radius",
+    "merge_topk",
+]
 
 
 @dataclass(frozen=True)
@@ -175,32 +180,6 @@ def _spatial_split(xyz: np.ndarray, n_shards: int) -> tuple[np.ndarray, ...]:
         cells.append(np.sort(ids[order[:half]]))
         cells.append(np.sort(ids[order[half:]]))
     return tuple(cells)
-
-
-def merge_topk(
-    indices_parts: list[np.ndarray],
-    distances_parts: list[np.ndarray],
-    k: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise k-smallest merge of per-shard top-k lists.
-
-    Inputs are ``(M, k_s)`` global point indices (``-1`` padding) and
-    matching float64 distances (``inf`` padding), one pair per shard.
-    Rows of the output are in canonical order — ascending distance,
-    ties broken by ascending point id, padding last — implemented as
-    two stable argsorts (secondary key first).  Shards partition the
-    points, so no id appears twice and the merged set is the global
-    top-k whenever each shard list is its local top-k.
-    """
-    cat_idx = np.concatenate(indices_parts, axis=1)
-    cat_dst = np.concatenate(distances_parts, axis=1)
-    o1 = np.argsort(cat_idx, axis=1, kind="stable")
-    o2 = np.argsort(np.take_along_axis(cat_dst, o1, axis=1), axis=1, kind="stable")
-    order = np.take_along_axis(o1, o2, axis=1)[:, :k]
-    idx = np.take_along_axis(cat_idx, order, axis=1)
-    dst = np.take_along_axis(cat_dst, order, axis=1)
-    idx[np.isinf(dst)] = PAD_INDEX
-    return np.ascontiguousarray(idx), np.ascontiguousarray(dst)
 
 
 def merge_radius(

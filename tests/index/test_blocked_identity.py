@@ -6,10 +6,9 @@ its answers must match a single monolithic ``build_flat`` +
 workloads are the classic ways to get that wrong:
 
 * **Duplicate ties** — exact-duplicate coordinates straddling a block
-  boundary produce equal distances whose winner depends on merge
-  order.  The repo contract (same as the serve shard merge): distance
-  rows are always bit-identical; index rows may differ only where the
-  referenced coordinates are exact duplicates of each other.
+  boundary produce equal distances whose winner would depend on merge
+  order.  The repo contract (same as the serve shard merge): every path
+  ranks by (distance, id), so index rows are bit-identical too.
 * **Off-origin frames** — UTM-style coordinates (hundreds of km from
   the origin) shrink the float spacing relative to block extents; a
   sloppy AABB lower bound would start pruning blocks that still hold
@@ -33,15 +32,10 @@ def _monolithic(xyz, queries, k):
     return result
 
 
-def _assert_tie_identical(result, exact, xyz):
-    """Distances bit-identical; index swaps only among duplicate coords."""
+def _assert_identical(result, exact):
+    """Distances and indices bit-identical, duplicate coordinates included."""
     np.testing.assert_array_equal(result.distances, exact.distances)
-    differs = result.indices != exact.indices
-    if differs.any():
-        a = result.indices[differs]
-        b = exact.indices[differs]
-        assert (a >= 0).all() and (b >= 0).all()
-        np.testing.assert_array_equal(xyz[a], xyz[b])
+    np.testing.assert_array_equal(result.indices, exact.indices)
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +60,7 @@ def test_duplicate_ties_match_monolithic(duplicate_cloud, partitioner, tmp_path)
         BlockedBuildConfig(n_blocks=6, partitioner=partitioner),
         block_dir=tmp_path / partitioner,
     )
-    _assert_tie_identical(index.query(queries, k), _monolithic(xyz, queries, k), xyz)
+    _assert_identical(index.query(queries, k), _monolithic(xyz, queries, k))
 
 
 @pytest.mark.parametrize("partitioner", PARTITIONER_NAMES)
@@ -93,4 +87,4 @@ def test_registry_backend_is_exact(small_frame_pair):
     ref, qry = small_frame_pair
     index = make_index("kd-blocked", ref)
     q = qry.xyz[:200]
-    _assert_tie_identical(index.query(q, 5), _monolithic(ref.xyz, q, 5), ref.xyz)
+    _assert_identical(index.query(q, 5), _monolithic(ref.xyz, q, 5))

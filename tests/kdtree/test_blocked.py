@@ -42,13 +42,9 @@ def _exact(xyz, queries, k):
     return result
 
 
-def _assert_matches_monolithic(result, exact, xyz):
+def _assert_matches_monolithic(result, exact):
     np.testing.assert_array_equal(result.distances, exact.distances)
-    differs = result.indices != exact.indices
-    if differs.any():
-        np.testing.assert_array_equal(
-            xyz[result.indices[differs]], xyz[exact.indices[differs]]
-        )
+    np.testing.assert_array_equal(result.indices, exact.indices)
 
 
 # ----------------------------------------------------------------------
@@ -93,7 +89,7 @@ class TestBuild:
         )
         assert index.n_blocks >= 2
         _assert_matches_monolithic(
-            index.query(queries, 8), _exact(xyz, queries, 8), xyz
+            index.query(queries, 8), _exact(xyz, queries, 8)
         )
 
     def test_out_of_core_npy_source(self, cloud, tmp_path):
@@ -109,7 +105,7 @@ class TestBuild:
         # Staging buffers are deleted once the block snapshots exist.
         assert not (tmp_path / "blocks" / "staging").exists()
         _assert_matches_monolithic(
-            index.query(queries, 6), _exact(xyz, queries, 6), xyz
+            index.query(queries, 6), _exact(xyz, queries, 6)
         )
 
     def test_parallel_build_bit_identical_to_inline(self, cloud, tmp_path):
@@ -188,7 +184,7 @@ class TestResidency:
         index = BlockedIndex(built_dir)
         assert index.n_points == xyz.shape[0]
         _assert_matches_monolithic(
-            index.query(queries, 6), _exact(xyz, queries, 6), xyz
+            index.query(queries, 6), _exact(xyz, queries, 6)
         )
 
     @pytest.mark.parametrize("eviction", ["lru", "cost-aware"])
@@ -200,7 +196,7 @@ class TestResidency:
             built_dir, max_resident_blocks=2, eviction=eviction
         )
         _assert_matches_monolithic(
-            index.query(queries, 6), _exact(xyz, queries, 6), xyz
+            index.query(queries, 6), _exact(xyz, queries, 6)
         )
         stats = index.stats()
         assert stats["resident_blocks"] <= 2
@@ -212,7 +208,7 @@ class TestResidency:
         xyz, queries = cloud
         index = BlockedIndex(built_dir, max_resident_bytes=1)
         _assert_matches_monolithic(
-            index.query(queries[:50], 4), _exact(xyz, queries[:50], 4), xyz
+            index.query(queries[:50], 4), _exact(xyz, queries[:50], 4)
         )
         # A 1-byte budget keeps exactly the block being searched.
         assert index.stats()["resident_blocks"] == 1
@@ -273,7 +269,7 @@ class TestServing:
             [index.as_shard()], ServeConfig(max_delay_s=0.0)
         ) as server:
             response = server.query(queries[:150], 6)
-        _assert_matches_monolithic(response, _exact(xyz, queries[:150], 6), xyz)
+        _assert_matches_monolithic(response, _exact(xyz, queries[:150], 6))
 
     def test_degraded_budget_stays_in_home_block(self, cloud, tmp_path):
         xyz, queries = cloud

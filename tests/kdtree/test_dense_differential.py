@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.kdtree import KdTreeConfig, build_tree, knn_approx_loop, knn_exact
 from repro.kdtree.engine import _DENSE_ROWS, knn_approx_batched, knn_exact_batched
-from tests.kdtree.test_exact_differential import _rows_without_ties
 
 #: Rows of each example the per-query exact loop re-answers.
 EXACT_ROWS = 160
@@ -64,27 +63,25 @@ def frames(draw):
     return points, tree, queries, k
 
 
-def _assert_same(points, queries, indices, distances, want):
+def _assert_same(indices, distances, want):
     assert np.array_equal(distances, want.distances)
-    distinct = _rows_without_ties(points, queries, want.distances)
-    assert np.array_equal(indices[distinct], want.indices[distinct])
+    assert np.array_equal(indices, want.indices)
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(frame=frames())
 def test_whole_cloud_batches_match_the_loop_paths(frame):
-    points, tree, queries, k = frame
+    _, tree, queries, k = frame
     flat = tree.flat()
     # The premise: some bucket is scanned by enough rows to be dense.
     homes = flat.bucket_id[flat.descend_fast(queries)]
     assert np.bincount(homes).max() >= _DENSE_ROWS
 
     approx = knn_approx_batched(flat, queries, k)
-    _assert_same(points, queries, approx.indices, approx.distances,
-                 knn_approx_loop(tree, queries, k))
+    _assert_same(approx.indices, approx.distances, knn_approx_loop(tree, queries, k))
 
     exact, _ = knn_exact_batched(tree, queries, k)
     rows = np.random.default_rng(k).permutation(queries.shape[0])[:EXACT_ROWS]
-    _assert_same(points, queries[rows], exact.indices[rows], exact.distances[rows],
+    _assert_same(exact.indices[rows], exact.distances[rows],
                  knn_exact(tree, queries[rows], k, engine=False))
