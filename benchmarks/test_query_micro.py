@@ -1,6 +1,6 @@
 """Micro-benchmarks of the query-modality subsystem.
 
-Two trajectory points for the new modalities behind ``NeighborIndex``:
+Three trajectory points for the modalities behind ``NeighborIndex``:
 
 * ``engine.radius_batched`` — the vectorized batched radius kernel in
   queries per second, with the per-query reference loop's rate on the
@@ -8,6 +8,9 @@ Two trajectory points for the new modalities behind ``NeighborIndex``:
   subsystem's issue — batched at least 3x the reference loop — is
   asserted here so the committed baseline can never silently regress
   past it.
+* ``engine.radius_batched_rows8`` — the same kernel at serving batch
+  sizes: 8-row calls, as a served radius request reaches a shard, on
+  the 30k frame beside ``engine.exact_batched_rows8``.
 * ``build.fps_fused`` — build-fused farthest point sampling (FuseFPS)
   in selected samples per second, with the naive O(n·m) loop's rate
   recorded for the ratio.  The fused timing includes the tree build it
@@ -24,7 +27,7 @@ import time
 import numpy as np
 
 from repro.datasets import lidar_frame_pair
-from repro.kdtree import build_flat
+from repro.kdtree import KdTreeConfig, build_flat
 from repro.query import (
     radius_batched,
     radius_reference,
@@ -100,6 +103,33 @@ def test_radius_batched_vs_reference(benchmark, bench_engine):
           f"batched {batched_s:.3f}s vs reference {reference_s:.3f}s "
           f"({speedup:.1f}x, {cores} core(s))")
     assert speedup >= MIN_RADIUS_SPEEDUP
+
+
+def test_radius_batched_rows8(benchmark, frames_30k, bench_engine):
+    ref, qry = frames_30k
+    flat, _ = build_flat(ref.xyz, KdTreeConfig(bucket_capacity=256))
+    calls = qry.xyz[:2_048].reshape(-1, 8, 3)
+    cap = 64
+
+    def run():
+        return [radius_batched(flat, q, RADIUS, max_neighbors=cap) for q in calls]
+
+    for got, q in zip(run(), calls):
+        want = radius_reference(flat, q, RADIUS, max_neighbors=cap)
+        np.testing.assert_array_equal(got.offsets, want.offsets)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.distances, want.distances)
+
+    benchmark(run)
+    times = _timed_runs(run, rounds=3)
+    ms_per_call = min(times) / calls.shape[0] * 1e3
+    benchmark.extra_info["ms_per_call"] = round(ms_per_call, 3)
+    bench_engine.add(
+        "radius_batched_rows8", work=calls.shape[0] * calls.shape[1], times_s=times,
+        points=int(ref.xyz.shape[0]), radius=RADIUS, max_neighbors=cap,
+        rows_per_call=calls.shape[1],
+    )
+    print(f"\nradius, 8-row calls: {ms_per_call:.2f} ms per call")
 
 
 def test_fps_fused_vs_naive(benchmark, bench_build):

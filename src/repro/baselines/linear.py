@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry import PointCloud
+from repro.kdtree.ranking import top_k
 from repro.kdtree.search import PAD_INDEX, QueryResult
 
 
@@ -63,13 +64,21 @@ def knn_bruteforce(
             + ref_sq[None, :]
         )
         np.maximum(d2, 0.0, out=d2)
+        # Keep every column tied with (or, after the square root, equal
+        # to) a row's take-th score, so the canonical order picks among
+        # ties by id; the widening covers the root's rounding.
         if n > take:
-            part = np.argpartition(d2, take - 1, axis=1)[:, :take]
+            kth = np.partition(d2, take - 1, axis=1)[:, take - 1]
+            d2_max = kth + 4.0 * np.finfo(np.float64).eps * kth
         else:
-            part = np.broadcast_to(np.arange(n), (stop - start, n)).copy()
-        part_d = np.take_along_axis(d2, part, axis=1)
-        order = np.argsort(part_d, axis=1, kind="stable")
-        indices[start:stop, :take] = np.take_along_axis(part, order, axis=1)
-        distances[start:stop, :take] = np.sqrt(np.take_along_axis(part_d, order, axis=1))
+            d2_max = np.full(stop - start, np.inf)
+        row, col = np.nonzero(d2 <= d2_max[:, None])
+        counts = np.bincount(row, minlength=stop - start)
+        cell = np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        cand_i = np.full((stop - start, int(counts.max())), PAD_INDEX, dtype=np.int64)
+        cand_d = np.full(cand_i.shape, np.inf)
+        cand_i[row, cell] = col
+        cand_d[row, cell] = np.sqrt(d2[row, col])
+        indices[start:stop], distances[start:stop] = top_k(cand_i, cand_d, k)
 
     return QueryResult(indices=indices, distances=distances)

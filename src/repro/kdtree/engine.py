@@ -21,12 +21,13 @@ computation the same way the accelerator does:
   certifies the majority of queries exact through the leaf radius test
   (k-th distance strictly below the smallest splitting-plane margin
   crossed on the way down), and resolves the rest in one *batched*
-  backtracking pass: a vectorized frontier walk (the one radius search
-  also runs) collects every (query, bucket) pair the branch-and-bound
-  search could visit, all of those pairs are scored in the same one
-  routine, and each query takes one cut over its visited members that
-  can beat or tie its home k-th distance.  There is no per-bucket
-  merge.
+  backtracking pass.  It shares both of its stages with radius search:
+  a vectorized frontier walk collects every (query, bucket) pair the
+  branch-and-bound search could visit, and one bounded bucket scan
+  yields, chunk by chunk, every visited member within the query's
+  bound (here its running k-th distance, for radius search ``r``).
+  Each chunk is ranked into the running top-k; radius search keeps
+  them all.
 
 Every row is ranked in the one neighbour order of
 :mod:`repro.kdtree.ranking`: ascending distance, equal distances by
@@ -45,23 +46,24 @@ are shifted into the same frame.  The expansion's cancellation error
 grows with the magnitude of the coordinates it sees, so in the
 bucket's frame it scales with the bucket's extent (centimetres to
 metres for a lidar leaf), not with the cloud's extent or its distance
-from the origin.  Each row keeps ``t = k + SELECT_PAD`` candidates.
-The cut ranks in place on packed int64 keys: a non-negative score
-viewed as int64 keeps its order (a negative one, from cancellation,
-ranks first and counts as 0), and its low ``b`` bits are replaced by
-the column, so one ``partition`` of the score matrix gives the cut and
-the columns together (rows too wide for the column field take
-``argpartition``).  The ``(t+1)``-th score certifies the cut: only rows
-where it lies within the rounding margin of the ``t``-th score, or
-within the ``2**b`` ulps the packing truncated (exact duplicates, or a
-bucket stretched by a far outlier), are re-selected on exact float64
-distances.  A cut over candidates scored in several frames is widened
-by the largest of their margins.  The final top-k and its reported
-distances are always decided on float64 distances recomputed from the
-raw coordinates with the per-query paths' ``sqrt(((q - c)^2).sum())``
-kernel (summed column by column, with the same bits), and ranked in
-the one neighbour order, so results are element-for-element identical
-to the loop implementations (which remain available — and tested
+from the origin.  The home pass keeps ``t = k + SELECT_PAD``
+candidates per row.  The cut ranks in place on packed int64 keys: a
+non-negative score viewed as int64 keeps its order (a negative one,
+from cancellation, ranks first and counts as 0), and its low ``b``
+bits are replaced by the column, so one ``partition`` of the score
+matrix gives the cut and the columns together (rows too wide for the
+column field take ``argpartition``).  The ``(t+1)``-th score certifies
+the cut: only rows where it lies within the rounding margin of the
+``t``-th score, or within the ``2**b`` ulps the packing truncated
+(exact duplicates, or a bucket stretched by a far outlier), are
+re-selected on exact float64 distances.  The bounded scan cuts nothing: it keeps every member whose
+score lies within the squared bound plus the margin.  The final top-k,
+radius search's inclusion test and the reported distances are always
+decided on float64 distances recomputed from the raw coordinates with
+the per-query paths' ``sqrt(((q - c)^2).sum())`` kernel (summed column
+by column, with the same bits), and ranked in the one neighbour order,
+so results are element-for-element identical to the loop
+implementations (which remain available — and tested
 against — as ``knn_approx_loop`` / ``knn_exact(engine=False)``).
 """
 
@@ -619,13 +621,12 @@ def _exact_rows(
     return top_k(ids, dists, k)
 
 
-#: Candidate slots one pass of :func:`_pair_topk`'s second stage
-#: scores.  A pass's arrays hold 8 bytes a slot (its padded rows little
-#: more), so each stays under glibc's 128 KB mmap threshold: freeing an
-#: mmapped block raises that threshold for good, and every thread's
-#: later allocations then stay retained on the heap (fleet-churn's
-#: peak RSS rose by ~20 MB that way).  A serving call is one pass or
-#: two.
+#: Candidate slots one gathered pass (:func:`_passes`) scores.  A
+#: pass's arrays hold 8 bytes a slot (its padded rows little more), so
+#: each stays under glibc's 128 KB mmap threshold: freeing an mmapped
+#: block raises that threshold for good, and every thread's later
+#: allocations then stay retained on the heap (fleet-churn's peak RSS
+#: rose by ~20 MB that way).  A serving call is one pass or two.
 _SCORE_BUDGET = 8192
 
 #: A bucket that at least this many of a call's rows scan is scored
@@ -638,178 +639,107 @@ _SCORE_BUDGET = 8192
 _DENSE_ROWS = 16
 
 
-def _pair_topk(
-    flat: FlatKdTree,
-    q: np.ndarray,
-    rows: np.ndarray,
-    buckets: np.ndarray,
-    k: int,
-    bound: np.ndarray | None = None,
+def _passes(width: np.ndarray):
+    """Cut ``(row, bucket)`` pairs of ``width`` members each into
+    gathered passes of at most ``_SCORE_BUDGET`` members: yields each
+    pass's pair indices.
+
+    Pairs go in ascending width, so a pass laid out one pair per row
+    pads little.  Pairs without members join no pass, and a pair wider
+    than the budget is a pass of its own.
+    """
+    order = np.argsort(width, kind="stable")
+    total = np.cumsum(width[order])
+    p0 = int(np.searchsorted(width[order], 1))
+    while p0 < order.size:
+        done = total[p0 - 1] if p0 else 0
+        p1 = max(p0 + 1, int(np.searchsorted(total, done + _SCORE_BUDGET, side="right")))
+        yield order[p0:p1]
+        p0 = p1
+
+
+def _gather_scores(
+    store: BucketStore, q: np.ndarray, rows: np.ndarray,
+    buckets: np.ndarray, width: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bucket-frame scores of every member of some ``(row, bucket)`` pairs.
+
+    Returns ``(pos, score, margin)``: the members' store positions and
+    squared-distance scores, pair after pair (a bucket's members are
+    the store slice ``offsets[b]:offsets[b + 1]``), and each pair's
+    frame margin, as :meth:`BucketStore.sq_distances` gives them but
+    summed column by column over the gathered members.
+    """
+    start = np.cumsum(width) - width
+    pos = np.arange(int(width.sum())) + np.repeat(store.offsets[buckets] - start, width)
+    ql = q[rows] - store.center[buckets]
+    qsq = np.einsum("ij,ij->i", ql, ql)
+    score = store.local[pos, 0] * np.repeat(ql[:, 0], width)
+    score += store.local[pos, 1] * np.repeat(ql[:, 1], width)
+    score += store.local[pos, 2] * np.repeat(ql[:, 2], width)
+    score *= -2.0
+    score += store.sq.take(pos)
+    score += np.repeat(qsq, width)
+    return pos, score, _MARGIN_ULPS * _EPS * (qsq + store.radius_sq[buckets])
+
+
+def _home_topk(
+    flat: FlatKdTree, q: np.ndarray, leaf_ids: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each query's k nearest members over all its (row, bucket) pairs.
+    """Top-k of each query within its home leaf's bucket.
 
-    ``rows`` and ``buckets`` list the pairs to scan: row ``rows[i]`` of
-    ``q`` scans bucket ``buckets[i]``.  Without ``bound`` every row has
-    exactly one pair (a home pass).  ``bound`` gives each row a
-    distance that only closer members can matter against (the k-th
-    distance of the candidates the caller already holds); members
-    certainly beyond it are dropped unranked.
-
-    All pairs are scored at once, each in its own bucket's frame from
-    the :class:`BucketStore`, in two stages:
-
-    * a bucket that ``_DENSE_ROWS`` or more rows scan is scored by one
-      BLAS matmul (:meth:`BucketStore.sq_distances`).  Without a bound
-      each row's certified cut (:func:`_certified_top`) is its answer.
-      With one, a row keeps its members inside the bound, or its
-      ``t = k + SELECT_PAD`` best under the certified cut where more
-      are;
-    * every other row takes one certified cut to ``t`` over all its
-      candidates (those, plus every member of its other buckets, scored
-      in one gathered pass per chunk of ``_SCORE_BUDGET`` slots; with a
-      bound, only those inside it), widened by the largest frame margin
-      among its pairs, and re-selects exactly only the rows the margin
-      cannot certify.
-
-    Reported distances come from :func:`_exact_rows`.  Returns
-    ``(indices, distances)`` of shape ``(len(q), k)``.
+    All rows are scored at once, each in its bucket's frame from the
+    :class:`BucketStore`: a bucket that ``_DENSE_ROWS`` or more rows
+    share by one BLAS matmul (:meth:`BucketStore.sq_distances`), the
+    other rows in gathered passes.  Each row takes one certified cut to
+    ``t = k + SELECT_PAD`` (:func:`_cut`), rows the margin cannot
+    certify are re-selected on exact distances, and reported distances
+    come from :func:`_exact_rows`.  Returns ``(indices, distances)`` of
+    shape ``(len(q), k)``.
     """
     m = q.shape[0]
     indices = np.full((m, k), PAD_INDEX, dtype=np.int64)
     distances = np.full((m, k), np.inf)
+    buckets = flat.bucket_id[leaf_ids]
+    obs = get_registry()
+    if obs.enabled:
+        obs.counter("engine.leaf_groups").inc(int(np.unique(buckets).size))
     if m == 0:
         return indices, distances
 
     store = flat.store
     offsets = flat.bucket_offsets
     t = k + FlatKdTree.SELECT_PAD
-    lo = offsets[buckets]
-    width = offsets[buckets + 1] - lo
+    width = offsets[buckets + 1] - offsets[buckets]
     dense = (np.bincount(buckets)[buckets] >= _DENSE_ROWS) & (width > t)
-    width[dense] = t
-    hot = np.flatnonzero(dense)
-    if bound is not None:
-        bound2 = bound * bound
-        bound2 += _MARGIN_ULPS * _EPS * bound2
-        # The first stage's survivors: t slots per dense pair, a store
-        # position and its score; unused slots score ``inf``.
-        slot_of = np.empty(rows.size, dtype=np.int64)
-        slot_of[hot] = np.arange(hot.size) * t
-        kept_pos = np.repeat(lo[hot], t)
-        kept_score = np.full(hot.size * t, np.inf)
-
     reselected = 0
+    hot = np.flatnonzero(dense)
     order, runs = _bucket_runs(buckets[hot]) if hot.size else (None, ())
     for bid, a, b in runs:
-        sel = hot[order[a:b]]
-        rs = rows[sel]
+        rs = hot[order[a:b]]
         b_lo, b_hi = offsets[bid], offsets[bid + 1]
         members = flat.bucket_members[b_lo:b_hi]
         pts = store.points[b_lo:b_hi]
         qg = q[rs]
         d2, margin = store.sq_distances(bid, qg)
-        if bound is None:
-            top, n = _certified_top(qg, d2, margin, members, pts, t)
-            reselected += n
-            indices[rs], distances[rs] = _exact_rows(qg, pts[top], members[top], k)
-            continue
-        # A row with at most t members inside its bound keeps them
-        # unranked; only the rows with more need the cut.
-        near = d2 <= (bound2[rs] + margin)[:, None]
-        n_near = np.count_nonzero(near, axis=1)
-        over = np.flatnonzero(n_near > t)
-        near[over] = False
-        n_near[over] = 0
-        hit = np.flatnonzero(near)
-        r = hit // d2.shape[1]
-        slot = slot_of[sel[r]] + np.arange(hit.size) - (np.cumsum(n_near) - n_near)[r]
-        kept_pos[slot] = b_lo + hit % d2.shape[1]
-        kept_score[slot] = d2.ravel()[hit]
-        if over.size:
-            top, n = _certified_top(qg[over], d2[over], margin[over], members, pts, t)
-            reselected += n
-            slots = slot_of[sel[over], None] + np.arange(t)
-            kept_pos[slots] = b_lo + top
-            kept_score[slots] = np.take_along_axis(d2[over], top, axis=1)
+        top, n = _certified_top(qg, d2, margin, members, pts, t)
+        reselected += n
+        indices[rs], distances[rs] = _exact_rows(qg, pts[top], members[top], k)
 
-    obs = get_registry()
-    if reselected:
-        obs.counter("engine.select.reselected").inc(reselected)
-        reselected = 0
-    left = np.flatnonzero(~dense) if bound is None else np.arange(rows.size)
-    if left.size == 0:
-        return indices, distances
-
-    # The second stage: its pairs grouped by row, rows in ascending
-    # candidate count, so that a chunk is a slice of rows and of pairs
-    # and pads little.
-    count = np.bincount(rows[left], weights=width[left], minlength=m).astype(np.int64)
-    live = np.unique(rows[left])
-    live = live[np.argsort(count[live], kind="stable")]
-    rank = np.empty(m, dtype=np.int64)
-    rank[live] = np.arange(live.size)
-    left = left[np.argsort(rank[rows[left]], kind="stable")]
-    first_pair = np.searchsorted(rank[rows[left]], np.arange(live.size + 1))
-    for r0, r1 in _chunks(count[live], _SCORE_BUDGET):
-        rsel = live[r0:r1]
-        cnt = count[rsel]
-        nr = r1 - r0
-        qc = q[rsel]
-        pairs = left[first_pair[r0] : first_pair[r1]]
-        pw = width[pairs]
-        pstart = np.cumsum(pw) - pw
-        # A bucket's members are the store slice ``offsets[b]:offsets[b + 1]``.
-        cpos = np.arange(int(cnt.sum())) + np.repeat(lo[pairs] - pstart, pw)
-        cscore = np.empty(cpos.size)
-        # Each pair's query in its bucket's frame; the sparse pairs'
-        # members are scored here, column by column.
-        pb = buckets[pairs]
-        ql = q[rows[pairs]] - store.center[pb]
-        qsq = np.einsum("ij,ij->i", ql, ql)
-        frame_margin = _MARGIN_ULPS * _EPS * (qsq + store.radius_sq[pb])
-        sp = ~dense[pairs]
-        at = cpos
-        if not sp.all():
-            from_first = (pstart[~sp, None] + np.arange(t)).ravel()
-            first = (slot_of[pairs[~sp], None] + np.arange(t)).ravel()
-            cpos[from_first] = kept_pos[first]
-            cscore[from_first] = kept_score[first]
-            at = cpos[np.repeat(sp, pw)]
-        if at.size:
-            spw = pw[sp]
-            part = store.local[at, 0] * np.repeat(ql[sp, 0], spw)
-            part += store.local[at, 1] * np.repeat(ql[sp, 1], spw)
-            part += store.local[at, 2] * np.repeat(ql[sp, 2], spw)
-            part *= -2.0
-            part += store.sq.take(at)
-            part += np.repeat(qsq[sp], spw)
-            if sp.all():
-                cscore = part
-            else:
-                cscore[np.repeat(sp, pw)] = part
-        # Lay each row's candidates out in one padded row: with a bound,
-        # only those that can beat it.
-        slot_row = np.repeat(np.arange(nr), cnt)
-        if bound is None:
-            kept_slots = np.arange(cpos.size)
-        else:
-            kept_slots = np.flatnonzero(
-                cscore <= np.repeat(bound2[rows[pairs]] + frame_margin, pw)
-            )
-            slot_row = slot_row[kept_slots]
-            cnt = np.bincount(slot_row, minlength=nr)
-        w = int(cnt.max())
-        if w == 0:
-            continue
-        rstart = np.cumsum(cnt) - cnt
-        cell = slot_row * w + np.arange(kept_slots.size) - rstart[slot_row]
+    sparse = np.flatnonzero(~dense)
+    for chunk in _passes(width[sparse]):
+        # One pair per row: lay each row's members out in one padded row.
+        rs = sparse[chunk]
+        cnt = width[rs]
+        pos, score, margin = _gather_scores(store, q, rs, buckets[rs], cnt)
+        nr, w = rs.size, int(cnt.max())
+        cell = np.arange(pos.size) + np.repeat(np.arange(nr) * w - (np.cumsum(cnt) - cnt), cnt)
         padded = np.full((nr, w), np.inf)
-        np.put(padded, cell, cscore[kept_slots])
+        np.put(padded, cell, score)
         where = np.zeros((nr, w), dtype=np.int64)
-        np.put(where, cell, cpos[kept_slots])
+        np.put(where, cell, pos)
+        qc = q[rs]
         if w > t:
-            # One cut per row, widened by its pairs' largest frame margin.
-            margin = np.maximum.reduceat(frame_margin, first_pair[r0:r1] - first_pair[r0])
             top, kept, risky = _cut(padded, margin, t)
             if risky.size:
                 reselected += risky.size
@@ -824,40 +754,81 @@ def _pair_topk(
             kept, at = padded, where
         ids = flat.bucket_members.take(at)
         ids[np.isinf(kept)] = PAD_INDEX
-        indices[rsel], distances[rsel] = _exact_rows(
-            qc, store.points.take(at, axis=0), ids, k
-        )
+        indices[rs], distances[rs] = _exact_rows(qc, store.points.take(at, axis=0), ids, k)
     if reselected:
         obs.counter("engine.select.reselected").inc(reselected)
     return indices, distances
 
 
-def _chunks(count: np.ndarray, budget: int):
-    """Split rows of ascending ``count`` into runs ``(r0, r1)`` of at
-    most ``budget`` candidates in total.
+def _joined(chunks):
+    """One ``(rows, ids, distances)`` chunk from several."""
+    return tuple(np.concatenate(part) for part in zip(*chunks))
 
-    Rows without candidates (already answered, or scanning only empty
-    buckets) join no run; a single row wider than the budget is a run
-    of its own.
+
+def _bounded_scan(
+    flat: FlatKdTree,
+    q: np.ndarray,
+    rows: np.ndarray,
+    buckets: np.ndarray,
+    bound: np.ndarray,
+):
+    """Every member of each ``(row, bucket)`` pair within its row's bound.
+
+    Row ``rows[i]`` of ``q`` scans bucket ``buckets[i]``, and
+    ``bound[row]`` is the distance a member must lie within (inclusive):
+    the running k-th distance for the exact kNN search's backtracking,
+    the radius for radius search.  Yields, chunk by chunk, ``(rows,
+    ids, distances)`` of the members within, their distances exact (the
+    per-query paths' kernel, :func:`_exact_distances`), in no order.
+    The prefilter squares ``bound`` once, at the first chunk; the
+    inclusion test reads it as each chunk is scored, so a caller may
+    tighten it between chunks.
+
+    A bucket that ``_DENSE_ROWS`` or more of the pairs scan is scored
+    by one BLAS matmul (:meth:`BucketStore.sq_distances`), and such
+    buckets' members are yielded in chunks of about ``_SCORE_BUDGET``;
+    the other pairs are scored in gathered passes of at most
+    ``_SCORE_BUDGET`` members (:func:`_passes`), one chunk each.  Both
+    score in the bucket's frame and keep a member when its score lies
+    within the squared bound plus the frame's rounding margin, so
+    rounding can only let extra members through; those are dropped by
+    the inclusion test on their exact distances.  Nothing is ranked or
+    cut, so nothing is ever re-selected.
     """
-    r0 = int(np.searchsorted(count, 1))
-    total = np.cumsum(count)
-    while r0 < count.size:
-        done = total[r0 - 1] if r0 else 0
-        r1 = max(r0 + 1, int(np.searchsorted(total, done + budget, side="right")))
-        yield r0, r1
-        r0 = r1
+    store = flat.store
+    offsets = flat.bucket_offsets
+    width = offsets[buckets + 1] - offsets[buckets]
+    bound2 = bound * bound
+    bound2 += _MARGIN_ULPS * _EPS * bound2
 
+    def within(rs, pos):
+        dist = _exact_distances(q[rs], store.points[pos])
+        inside = np.flatnonzero(dist <= bound[rs])
+        return rs[inside], flat.bucket_members[pos[inside]], dist[inside]
 
-def _home_topk(
-    flat: FlatKdTree, q: np.ndarray, leaf_ids: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k of each query within its home leaf's bucket."""
-    buckets = flat.bucket_id[leaf_ids]
-    obs = get_registry()
-    if obs.enabled:
-        obs.counter("engine.leaf_groups").inc(int(np.unique(buckets).size))
-    return _pair_topk(flat, q, np.arange(q.shape[0]), buckets, k)
+    dense = (np.bincount(buckets)[buckets] >= _DENSE_ROWS) & (width > 0)
+    hot = np.flatnonzero(dense)
+    order, runs = _bucket_runs(buckets[hot]) if hot.size else (None, ())
+    held, n_held = [], 0
+    for bid, a, b in runs:
+        rs = rows[hot[order[a:b]]]
+        d2, margin = store.sq_distances(bid, q[rs])
+        r, col = np.nonzero(d2 <= (bound2[rs] + margin)[:, None])
+        held.append(within(rs[r], offsets[bid] + col))
+        n_held += r.size
+        if n_held >= _SCORE_BUDGET:
+            yield _joined(held)
+            held, n_held = [], 0
+    if held:
+        yield _joined(held)
+
+    sparse = np.flatnonzero(~dense)
+    for chunk in _passes(width[sparse]):
+        pairs = sparse[chunk]
+        rs, pw = rows[pairs], width[pairs]
+        pos, score, margin = _gather_scores(store, q, rs, buckets[pairs], pw)
+        keep = np.flatnonzero(score <= np.repeat(bound2[rs] + margin, pw))
+        yield within(np.repeat(rs, pw)[keep], pos[keep])
 
 
 def knn_approx_batched(flat: FlatKdTree, queries: np.ndarray, k: int):
@@ -932,13 +903,13 @@ def knn_exact_batched(
     plan; answer each from its home bucket; settle those whose k-th
     distance is strictly inside every plane they crossed; collect the
     unsettled queries' (query, bucket) visits in one frontier walk;
-    score all visits in one pass (a bucket many queries visit by one
-    matmul, the rest gathered), keeping per query only members that can
-    beat or tie its home k-th distance; take one certified cut per
-    query over them; merge that with the home answer in one canonical
-    ranking of exact distances (ties by ascending id).  The number of
-    NumPy calls of a small batch does not grow with the buckets it
-    visits.
+    scan all visits in one bounded bucket scan (a bucket many queries
+    visit by one matmul, the rest gathered), which yields, chunk by
+    chunk, the visited members that can beat or tie a query's running
+    k-th distance, with exact distances; rank each chunk into the
+    running answer in the canonical order (ties by ascending id).  The
+    number of NumPy calls of a small batch does not grow with the
+    buckets it visits.
 
     ``tree`` may be a :class:`~repro.kdtree.node.KdTree` or a
     :class:`FlatKdTree` (e.g. loaded from a snapshot) — the search only
@@ -1024,20 +995,43 @@ def _exact_batched_impl(
     if vq.size == 0:
         return indices, distances, visits
 
-    # One pass over every visited (query, bucket) pair gives each
-    # touched query the k nearest of its visited members that can beat
-    # or tie its home k-th distance; with its home top-k they hold its
-    # true k nearest.  Both carry exact distances, so one canonical
-    # ranking of the 2k picks the answer.  Queries the radius test
-    # missed but backtracking never reached keep their home answer.
+    # The visited members within a query's home k-th distance, with its
+    # home top-k, hold its true k nearest.  All carry exact distances,
+    # so each chunk of them is ranked into the running top-k in the
+    # canonical order.  ``kth`` is a view of that top-k, so each merge
+    # tightens the bound the later chunks are tested against.  Queries
+    # the radius test missed but backtracking never reached keep their
+    # home answer.
     visits += np.bincount(vq, minlength=q.shape[0])
-    touched = np.unique(vq)
-    near_idx, near_dst = _pair_topk(
-        flat, q[touched], np.searchsorted(touched, vq), vb, k, kth[touched]
-    )
-    indices[touched], distances[touched] = top_k(
-        np.concatenate([indices[touched], near_idx], axis=1),
-        np.concatenate([distances[touched], near_dst], axis=1),
-        k,
-    )
+    for rows, ids, dist in _bounded_scan(flat, q, vq, vb, kth):
+        if rows.size:
+            _merge_rows(indices, distances, rows, ids, dist)
     return indices, distances, visits
+
+
+def _merge_rows(
+    indices: np.ndarray, distances: np.ndarray,
+    rows: np.ndarray, ids: np.ndarray, dist: np.ndarray,
+) -> None:
+    """Rank candidates ``(rows, ids, dist)`` into the running top-k rows
+    ``indices`` / ``distances``, in place.
+
+    The touched rows' entries and the candidates are ranked as one
+    list in the canonical order (:func:`~repro.kdtree.ranking.rank`),
+    then grouped by row by a stable sort, which keeps that order within
+    each row; every touched row then holds its first ``k``.  No row is
+    padded to another's width.
+    """
+    k = indices.shape[1]
+    touched = np.unique(rows)
+    owner = np.concatenate([np.repeat(touched, k), rows])
+    order, i, d = rank(
+        np.concatenate([indices[touched].ravel(), ids])[None],
+        np.concatenate([distances[touched].ravel(), dist])[None],
+    )
+    owner = owner[order[0]]
+    by_row = np.argsort(owner, kind="stable")
+    first = np.searchsorted(owner[by_row], touched)
+    take = by_row[(first[:, None] + np.arange(k)).ravel()]
+    indices[touched] = i[0, take].reshape(-1, k)
+    distances[touched] = d[0, take].reshape(-1, k)

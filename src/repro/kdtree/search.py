@@ -221,10 +221,11 @@ def knn_bbf(
 def radius_search(tree: KdTree, query, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """All reference points within ``radius`` of one query point (exact).
 
-    Returns ``(indices, distances)`` sorted by ascending distance.
-    Uses the same backtracking pruning as the exact kNN search; the
-    companion operation ICP variants and clustering pipelines need
-    alongside kNN.
+    Returns ``(indices, distances)`` sorted by ascending distance, equal
+    distances by ascending index (the order of
+    :class:`~repro.query.result.RaggedResult`).  Uses the same
+    backtracking pruning as the exact kNN search; the companion
+    operation ICP variants and clustering pipelines need alongside kNN.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -259,7 +260,7 @@ def radius_search(tree: KdTree, query, radius: float) -> tuple[np.ndarray, np.nd
         return np.empty(0, dtype=np.int64), np.empty(0)
     indices = np.concatenate(found_idx)
     distances = np.concatenate(found_dst)
-    order = np.argsort(distances, kind="stable")
+    order = np.lexsort((indices, distances))
     return indices[order], distances[order]
 
 

@@ -13,19 +13,19 @@ kNN engine already has:
   — the same pruning rule as the per-query
   :func:`repro.kdtree.search.radius_search`), and every leaf reached
   is scanned;
-* per visited bucket, the whole (queries x members) visit matrix is
-  **pre-filtered** with the float64 BLAS distance expansion evaluated
-  in the bucket's own frame (:attr:`FlatKdTree.store
-  <repro.kdtree.engine.FlatKdTree.store>`, see
-  :mod:`repro.kdtree.engine`), under a margin scaled by the bucket's
-  extent that can only ever *add* candidates — each bucket is one
-  contiguous slice of the cached store, so the matmul reads contiguous
-  memory and nothing is gathered from the whole cloud per call;
-* the survivors' distances are **re-derived exactly** with the same
+* the exact kNN search's **bounded bucket scan** takes every visited
+  pair with the radius as the bound: a bucket many queries visit is
+  scored by one BLAS matmul of those queries against its members, the
+  other pairs in gathered passes, all in the bucket's own frame
+  (:attr:`FlatKdTree.store <repro.kdtree.engine.FlatKdTree.store>`,
+  see :mod:`repro.kdtree.engine`), under a margin scaled by the
+  bucket's extent that can only ever *add* candidates.  The
+  candidates' distances are **re-derived exactly** with the same
   float64 ``sqrt(((q - c)^2).sum())`` kernel every per-query path
-  uses, on the store's raw bucket-ordered coordinates, and the
-  inclusion test ``dist <= r`` runs on those exact values — so the
-  reported pairs and distances are bit-identical to the reference loop.
+  uses, and the inclusion test ``dist <= r`` runs on those exact
+  values — so the reported pairs and distances are bit-identical to
+  the reference loop.  No Python loop runs per bucket a small call
+  visits.
 
 Results come back as a CSR :class:`~repro.query.result.RaggedResult`
 with rows in canonical (distance, index) order and an optional
@@ -36,12 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kdtree.engine import (
-    FlatKdTree,
-    _bucket_runs,
-    _exact_distances,
-    _frontier_walk,
-)
+from repro.kdtree.engine import FlatKdTree, _bounded_scan, _frontier_walk
 from repro.kdtree.search import _as_query_array
 from repro.obs import get_registry
 from repro.query.result import RaggedResult, build_ragged
@@ -76,45 +71,11 @@ def radius_batched(
     m = q.shape[0]
     with obs.timer("engine.radius"):
         # ``r = 0`` still forks across planes a query sits on.
-        vq, leaves = _frontier_walk(flat, q, np.arange(m), np.full(m, radius))
-        vb = flat.bucket_id[leaves]
-        pair_q: list[np.ndarray] = []
-        pair_i: list[np.ndarray] = []
-        pair_d: list[np.ndarray] = []
-        if vq.size:
-            r2 = radius * radius
-            store = flat.store
-            offsets = flat.bucket_offsets
-            members = flat.bucket_members
-            order, runs = _bucket_runs(vb)
-            for bid, start, stop in runs:
-                qids = vq[order[start:stop]]
-                lo, hi = offsets[bid], offsets[bid + 1]
-                if hi == lo:
-                    continue
-                qb = q[qids]
-                # Bucket-frame BLAS prefilter: cheap matmul metric over
-                # the whole (queries x members) visit matrix, with a
-                # margin so rounding can only let extra pairs through.
-                d2, margin = store.sq_distances(bid, qb)
-                gi, bj = np.nonzero(d2 <= (r2 + margin)[:, None])
-                if gi.size == 0:
-                    continue
-                # Exact re-derivation with the per-query paths' kernel;
-                # the inclusion decision happens on these values only.
-                dist = _exact_distances(qb[gi], store.points[lo:hi][bj])
-                inside = dist <= radius
-                pair_q.append(qids[gi[inside]])
-                pair_i.append(members[lo:hi][bj[inside]])
-                pair_d.append(dist[inside])
-        if pair_q:
-            qid = np.concatenate(pair_q)
-            idx = np.concatenate(pair_i)
-            dst = np.concatenate(pair_d)
-        else:
-            qid = np.empty(0, dtype=np.int64)
-            idx = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.float64)
+        bound = np.full(m, radius)
+        vq, leaves = _frontier_walk(flat, q, np.arange(m), bound)
+        chunks = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
+        chunks += _bounded_scan(flat, q, vq, flat.bucket_id[leaves], bound)
+        qid, idx, dst = (np.concatenate(part) for part in zip(*chunks))
         result = build_ragged(qid, idx, dst, m, max_neighbors=max_neighbors)
     if obs.enabled:
         obs.counter("engine.radius.calls").inc()

@@ -1,16 +1,18 @@
-"""One neighbour order on every kNN path, checked index for index.
+"""One neighbour order on every kNN and radius path, checked index for index.
 
 Grid-snapped clouds are full of exact ties: duplicate points, and
 points at exactly equal distances from on-grid queries, often straddling
 a splitting plane or a block or shard boundary.  Every path must rank
 them as the brute-force oracle does — ascending distance, then
-ascending point id (``lexsort((id, distance))``), padding last.
+ascending point id (``lexsort((id, distance))``), padding last — and a
+radius search must keep every point at exactly the radius.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import knn_bruteforce
 from repro.kdtree import (
     PAD_INDEX,
     BlockedBuildConfig,
@@ -22,13 +24,21 @@ from repro.kdtree import (
     knn_exact,
 )
 from repro.kdtree.engine import knn_approx_batched, knn_exact_batched
+from repro.kdtree.search import radius_search
+from repro.query import radius_batched, radius_reference
+from repro.query.radius import radius_bruteforce
 from repro.serve import make_plan, merge_topk
+
+
+def _distances(points, queries):
+    """The exact kernel over every (query, point) pair."""
+    diff = queries[:, None, :] - points[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
 
 
 def _oracle(points, queries, k):
     """Brute force: exact distances, ranked by ``lexsort((id, distance))``."""
-    diff = queries[:, None, :] - points[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = _distances(points, queries)
     ids = np.broadcast_to(np.arange(points.shape[0]), dist.shape)
     order = np.lexsort((ids, dist), axis=1)[:, :k]
     idx = np.full((queries.shape[0], k), PAD_INDEX, dtype=np.int64)
@@ -109,3 +119,46 @@ def test_shard_merge_ranks_by_distance_then_id(scene, n_shards, strategy):
     want_idx, want_dst = _oracle(points, queries, k)
     assert np.array_equal(idx, want_idx)
     assert np.array_equal(dst, want_dst)
+
+
+def _radii(points, queries):
+    """Radii to draw from: 0, and distances the grid itself realises, so
+    that points sit exactly on a query's sphere."""
+    return st.sampled_from([0.0, *np.unique(_distances(points, queries)).tolist()])
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(scene=grid_scenes(), data=st.data(),
+       cap=st.sampled_from([None, 1, 3, 16]))
+def test_radius_paths_agree_at_the_boundary(scene, data, cap):
+    points, queries, capacity, _ = scene
+    radius = data.draw(_radii(points, queries))
+    flat, _ = build_flat(points, KdTreeConfig(bucket_capacity=capacity))
+    got = radius_batched(flat, queries, radius, max_neighbors=cap)
+    for want in (radius_bruteforce(points, queries, radius, max_neighbors=cap),
+                 radius_reference(flat, queries, radius, max_neighbors=cap)):
+        assert np.array_equal(got.offsets, want.offsets)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.distances, want.distances)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(scene=grid_scenes(), data=st.data())
+def test_bruteforce_and_radius_search_rank_by_distance_then_id(scene, data):
+    points, queries, capacity, k = scene
+    want_idx, want_dst = _oracle(points, queries, k)
+    got = knn_bruteforce(points, queries, k)
+    assert np.array_equal(got.indices, want_idx)
+    assert np.array_equal(got.distances, want_dst)
+
+    radius = data.draw(_radii(points, queries))
+    tree, _ = build_tree(points, KdTreeConfig(bucket_capacity=capacity))
+    dist = _distances(points, queries)
+    for row, query in enumerate(queries):
+        inside = np.flatnonzero(dist[row] <= radius)
+        want = inside[np.lexsort((inside, dist[row, inside]))]
+        idx, dst = radius_search(tree, query, radius)
+        assert np.array_equal(idx, want)
+        assert np.array_equal(dst, dist[row, want])
