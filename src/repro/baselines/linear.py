@@ -33,8 +33,9 @@ def knn_bruteforce(
     k:
         Number of neighbors; results are padded if ``k > N``.
     chunk_size:
-        Queries processed per chunk (bounds peak memory at
-        ``chunk_size * N`` floats).
+        Queries processed per chunk.  Peak memory is about
+        ``2 * chunk_size * N`` float64 values: the chunk's score matrix
+        plus the copy ``np.partition`` makes of it.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -57,18 +58,18 @@ def knn_bruteforce(
     for start in range(0, m, chunk_size):
         stop = min(start + chunk_size, m)
         block = qry[start:stop]
-        # Squared distances via the expansion |q - r|^2 = |q|^2 - 2 q.r + |r|^2.
-        d2 = (
-            (block * block).sum(axis=1)[:, None]
-            - 2.0 * block @ ref.T
-            + ref_sq[None, :]
-        )
+        # Squared distances via the expansion |q - r|^2 = |q|^2 - 2 q.r + |r|^2,
+        # evaluated as (|q|^2 - (2q).r) + |r|^2 inside the matmul's output.
+        d2 = (2.0 * block) @ ref.T
+        np.subtract((block * block).sum(axis=1)[:, None], d2, out=d2)
+        np.add(d2, ref_sq[None, :], out=d2)
         np.maximum(d2, 0.0, out=d2)
         # Keep every column tied with (or, after the square root, equal
         # to) a row's take-th score, so the canonical order picks among
-        # ties by id; the widening covers the root's rounding.
+        # ties by id; the widening covers the root's rounding.  The
+        # copy frees the partitioned matrix before the mask is built.
         if n > take:
-            kth = np.partition(d2, take - 1, axis=1)[:, take - 1]
+            kth = np.partition(d2, take - 1, axis=1)[:, take - 1].copy()
             d2_max = kth + 4.0 * np.finfo(np.float64).eps * kth
         else:
             d2_max = np.full(stop - start, np.inf)

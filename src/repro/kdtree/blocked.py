@@ -56,7 +56,7 @@ import numpy as np
 from repro.eviction import EVICTION
 from repro.geometry import PointCloud
 from repro.kdtree.config import KdTreeConfig
-from repro.kdtree.engine import FlatKdTree, knn_approx_batched, knn_exact_batched
+from repro.kdtree.engine import FlatKdTree, knn_budgeted
 from repro.kdtree.flat_build import build_flat
 from repro.kdtree.ranking import PAD_INDEX, merge_topk
 from repro.kdtree.search import QueryResult, _as_query_array
@@ -640,10 +640,7 @@ class BlockedIndex:
         if m == 0:
             return QueryResult(indices=run_idx, distances=run_dst)
 
-        # Squared lower bound from every query to every block's AABB.
-        below = np.maximum(self._aabb_lo[None, :, :] - q[:, None, :], 0.0)
-        above = np.maximum(q[:, None, :] - self._aabb_hi[None, :, :], 0.0)
-        lb = (below * below + above * above).sum(axis=2)
+        lb = self._block_bounds(q)
         order = np.argsort(lb, axis=1, kind="stable")
         lb_sorted = np.take_along_axis(lb, order, axis=1)
 
@@ -708,9 +705,7 @@ class BlockedIndex:
         pair_i: list[np.ndarray] = []
         pair_d: list[np.ndarray] = []
         if m:
-            below = np.maximum(self._aabb_lo[None, :, :] - q[:, None, :], 0.0)
-            above = np.maximum(q[:, None, :] - self._aabb_hi[None, :, :], 0.0)
-            lb = (below * below + above * above).sum(axis=2)
+            lb = self._block_bounds(q)
             within = lb <= (radius * radius) * (1.0 + _PRUNE_SLACK)
             for block in range(self.n_blocks):
                 rows = np.flatnonzero(within[:, block])
@@ -848,22 +843,18 @@ class BlockedIndex:
         }
 
     # -- block cache ---------------------------------------------------
+    def _block_bounds(self, q: np.ndarray) -> np.ndarray:
+        """Squared lower bound from every query to every block's AABB,
+        shape ``(M, n_blocks)``."""
+        below = np.maximum(self._aabb_lo[None, :, :] - q[:, None, :], 0.0)
+        above = np.maximum(q[:, None, :] - self._aabb_hi[None, :, :], 0.0)
+        return (below * below + above * above).sum(axis=2)
+
     def _search_block(
         self, block: int, q: np.ndarray, k: int, budget: int | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         resident = self._get_block(block)
-        if budget is None:
-            result, _ = knn_exact_batched(resident.tree, q, k)
-        elif budget == 0:
-            result = knn_approx_batched(resident.tree, q, k)
-        else:
-            result, _ = knn_exact_batched(
-                resident.tree, q, k, max_visits=budget
-            )
-        local = result.indices
-        translated = resident.global_ids[local]
-        translated[local == PAD_INDEX] = PAD_INDEX
-        return translated, result.distances
+        return knn_budgeted(resident.tree, q, k, budget, resident.global_ids)
 
     def _get_block(self, block: int) -> _ResidentBlock:
         entry = self._resident.get(block)
@@ -943,9 +934,7 @@ class BlockedShard:
         if budget is None:
             result = self.index.query(q, k)
             return result.indices, result.distances
-        below = np.maximum(self.index._aabb_lo[None] - q[:, None], 0.0)
-        above = np.maximum(q[:, None] - self.index._aabb_hi[None], 0.0)
-        home = ((below * below + above * above).sum(axis=2)).argmin(axis=1)
+        home = self.index._block_bounds(q).argmin(axis=1)
         idx = np.full((q.shape[0], k), PAD_INDEX, dtype=np.int64)
         dst = np.full((q.shape[0], k), np.inf, dtype=np.float64)
         for block in np.unique(home):

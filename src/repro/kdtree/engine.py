@@ -72,7 +72,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kdtree.node import NO_NODE, KdTree
-from repro.kdtree.ranking import PAD_INDEX, rank, top_k
+from repro.kdtree.ranking import PAD_INDEX, rank, rank_pairs, top_k
 from repro.kdtree.search import QueryResult, _as_query_array
 from repro.obs import get_registry
 
@@ -941,6 +941,34 @@ def knn_exact_batched(
     return QueryResult(indices=indices, distances=distances), visits
 
 
+def knn_budgeted(
+    tree: "KdTree | FlatKdTree",
+    q: np.ndarray,
+    k: int,
+    budget: int | None,
+    global_ids: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k of a query block under a serving budget, in global ids.
+
+    ``budget`` is the serving ladder's engine budget: ``None`` runs the
+    unbounded exact search, ``0`` the single-bucket approximate answer
+    (:func:`knn_approx_batched`), anything else a ``max_visits``-bounded
+    exact search.  The tree's local ids are translated through
+    ``global_ids``; padding stays ``PAD_INDEX``.  Serving shards and
+    blocked indexes answer each part of a query through here.
+    """
+    if budget is None:
+        result, _ = knn_exact_batched(tree, q, k)
+    elif budget == 0:
+        result = knn_approx_batched(tree, q, k)
+    else:
+        result, _ = knn_exact_batched(tree, q, k, max_visits=budget)
+    local = result.indices
+    translated = global_ids[local]
+    translated[local == PAD_INDEX] = PAD_INDEX
+    return translated, result.distances
+
+
 def _truncate_visits(
     vq: np.ndarray, vb: np.ndarray, max_visits: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -1016,22 +1044,18 @@ def _merge_rows(
     """Rank candidates ``(rows, ids, dist)`` into the running top-k rows
     ``indices`` / ``distances``, in place.
 
-    The touched rows' entries and the candidates are ranked as one
-    list in the canonical order (:func:`~repro.kdtree.ranking.rank`),
-    then grouped by row by a stable sort, which keeps that order within
-    each row; every touched row then holds its first ``k``.  No row is
-    padded to another's width.
+    The touched rows' entries and the candidates are ranked as one set
+    of loose triples (:func:`~repro.kdtree.ranking.rank_pairs`), each
+    touched row capped at its first ``k``.  No row is padded to
+    another's width.
     """
     k = indices.shape[1]
     touched = np.unique(rows)
-    owner = np.concatenate([np.repeat(touched, k), rows])
-    order, i, d = rank(
-        np.concatenate([indices[touched].ravel(), ids])[None],
-        np.concatenate([distances[touched].ravel(), dist])[None],
-    )
-    owner = owner[order[0]]
-    by_row = np.argsort(owner, kind="stable")
-    first = np.searchsorted(owner[by_row], touched)
-    take = by_row[(first[:, None] + np.arange(k)).ravel()]
-    indices[touched] = i[0, take].reshape(-1, k)
-    distances[touched] = d[0, take].reshape(-1, k)
+    owner = np.concatenate([
+        np.repeat(np.arange(touched.size), k), np.searchsorted(touched, rows)
+    ])
+    i = np.concatenate([indices[touched].ravel(), ids])
+    d = np.concatenate([distances[touched].ravel(), dist])
+    order, _ = rank_pairs(owner, i, d, touched.size, k)
+    indices[touched] = i[order].reshape(-1, k)
+    distances[touched] = d[order].reshape(-1, k)

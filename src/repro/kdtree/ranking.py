@@ -8,13 +8,17 @@ the batched engine, the per-query loops, a sharded or blocked index
 and a brute-force ranking by ``lexsort((id, distance))`` all give the
 same rows, duplicate coordinates included.
 
-The rule has two forms, like the paper's datapath (Figure 4), where
+The rule has three forms, like the paper's datapath (Figure 4), where
 each functional unit keeps one running sorted top-k list per query as
 points stream past:
 
-* :func:`top_k` ranks whole rows of candidates at once: the engine's
-  re-derived rows, its home/backtrack merge, and the cross-shard and
-  cross-block merges (:func:`merge_topk`);
+* :func:`top_k` ranks dense rows of candidates at once: the engine's
+  re-derived rows and the cross-shard and cross-block merges
+  (:func:`merge_topk`);
+* :func:`rank_pairs` ranks loose ``(row, id, distance)`` triples into
+  ragged rows, each capped at its first ``cap``: every radius answer
+  (:func:`repro.query.result.build_ragged`) and the exact engine's
+  backtracking merge;
 * :class:`RunningTopK` is the same order as a running list, fed one
   candidate at a time by the per-query loop searches and the FU model.
 """
@@ -30,22 +34,55 @@ import numpy as np
 PAD_INDEX = -1
 
 
-def rank(ids: np.ndarray, dists: np.ndarray):
-    """Sort ``(R, C)`` rows of candidates into the canonical order.
-
-    Returns ``(order, indices, distances)``: the per-row permutation
-    and the rows it gives, full width.  One sort on a complex key
-    (distance as the real part, id as the imaginary part): NumPy
-    orders complex numbers lexicographically, so the key ranks by
-    distance, then id, in one pass with no tie repair.  Ids are exact
-    in the float64 imaginary part below ``2**53``.
+def _key(ids: np.ndarray, dists: np.ndarray) -> np.ndarray:
+    """The canonical sort key: distance as the real part, id as the
+    imaginary part.  NumPy orders complex numbers lexicographically, so
+    one sort on the key ranks by distance, then id, with no tie repair.
+    Ids are exact in the float64 imaginary part below ``2**53``.
     """
     key = np.empty(dists.shape, dtype=np.complex128)
     key.real = dists
     key.imag = ids
-    order = np.argsort(key, axis=1)
+    return key
+
+
+def rank(ids: np.ndarray, dists: np.ndarray):
+    """Sort ``(R, C)`` rows of candidates into the canonical order.
+
+    Returns ``(order, indices, distances)``: the per-row permutation
+    and the rows it gives, full width, from one sort on the canonical
+    key.
+    """
+    order = np.argsort(_key(ids, dists), axis=1)
     rows = np.arange(dists.shape[0])[:, None]
     return order, ids[rows, order], dists[rows, order]
+
+
+def rank_pairs(
+    rows: np.ndarray,
+    ids: np.ndarray,
+    dists: np.ndarray,
+    n_rows: int,
+    cap: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group loose ``(row, id, distance)`` triples into ranked rows.
+
+    Returns ``(order, counts)``: the permutation that lists the triples
+    row by row (rows ascending), each row in the canonical order and
+    cut to its first ``cap`` (all of it when ``cap`` is ``None``), and
+    the ``(n_rows,)`` number of triples kept per row.  One sort on the
+    canonical key, then a stable sort on the row, which keeps the key
+    order within each row.
+    """
+    order = np.argsort(_key(ids, dists))
+    order = order[np.argsort(rows[order], kind="stable")]
+    counts = np.bincount(rows, minlength=n_rows)
+    if cap is not None and counts.max(initial=0) > cap:
+        starts = np.cumsum(counts) - counts
+        slot = np.arange(order.size) - np.repeat(starts, counts)
+        order = order[slot < cap]
+        counts = np.minimum(counts, cap)
+    return order, counts
 
 
 def top_k(ids: np.ndarray, dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

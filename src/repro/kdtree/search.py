@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.geometry import PointCloud
 from repro.kdtree.node import KdTree
-from repro.kdtree.ranking import PAD_INDEX, RunningTopK, top_k
+from repro.kdtree.ranking import PAD_INDEX, RunningTopK, rank, top_k
 from repro.registry import Registry
 
 #: The ``engine=`` knob names, as a proper registry so unknown strings
@@ -258,10 +258,10 @@ def radius_search(tree: KdTree, query, radius: float) -> tuple[np.ndarray, np.nd
     visit(tree.ROOT)
     if not found_idx:
         return np.empty(0, dtype=np.int64), np.empty(0)
-    indices = np.concatenate(found_idx)
-    distances = np.concatenate(found_dst)
-    order = np.lexsort((indices, distances))
-    return indices[order], distances[order]
+    _, indices, distances = rank(
+        np.concatenate(found_idx)[None], np.concatenate(found_dst)[None]
+    )
+    return indices[0], distances[0]
 
 
 def knn_exact(

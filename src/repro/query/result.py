@@ -10,8 +10,10 @@ whole batch serializes as three dense arrays.
 Row order is canonical everywhere: ascending distance, ties broken by
 ascending reference index.  Every producer in the repo (the batched
 kernel, the reference loop, brute force, the blocked router, the
-sharded serve merge) emits this order, which is what makes the
-bit-identity guarantees testable with ``assert_array_equal``.
+sharded serve merge) builds its rows with :func:`build_ragged`, which
+ranks them in the one neighbour order of :mod:`repro.kdtree.ranking`;
+that makes the bit-identity guarantees testable with
+``assert_array_equal``.
 
 Dtype stability is part of the contract: ``indices`` and ``offsets``
 are always ``int64`` and ``distances`` ``float64``, including through
@@ -25,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.kdtree.ranking import rank_pairs
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,7 @@ class RaggedResult:
 
 
 #: Pair count above which a capped build pre-reduces heavy rows before
-#: the canonical sort.  Below this the two-pass sort is already cheap.
+#: the canonical sort.  Below this one sort of every pair is cheap.
 _PRECAP_PAIRS = 1_000_000
 
 
@@ -114,11 +118,11 @@ def _precap_rows(
     Sorting millions of pairs only to discard all but ``max_neighbors``
     per row is the dominant cost of a capped dense-radius build.  One
     stable sort groups pairs by row; each over-full row is cut at its
-    ``max_neighbors``-th smallest distance (``np.partition`` on the
-    order-isomorphic int64 bits), keeping every pair at or below that
-    threshold.  Boundary ties survive the cut — the canonical rank cap
-    downstream resolves them by ascending index exactly as before — so
-    the final result is unchanged, only computed on far fewer pairs.
+    ``max_neighbors``-th smallest distance (``np.partition``), keeping
+    every pair at or below that threshold.  Boundary ties survive the
+    cut — the canonical rank cap downstream resolves them by ascending
+    index exactly as before — so the final result is unchanged, only
+    computed on far fewer pairs.
     """
     counts = np.bincount(qid, minlength=n_queries).astype(np.int64)
     if int(counts.max(initial=0)) <= max_neighbors:
@@ -126,15 +130,13 @@ def _precap_rows(
     grouped = np.argsort(qid, kind="stable")
     qid = qid[grouped]
     indices = indices[grouped]
-    distances = np.ascontiguousarray(distances[grouped])
-    bits = distances.view(np.int64)
-    starts = np.zeros(n_queries, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
+    distances = distances[grouped]
+    starts = np.cumsum(counts) - counts
     keep = np.ones(qid.size, dtype=bool)
     for row in np.flatnonzero(counts > max_neighbors):
         lo = int(starts[row])
         hi = lo + int(counts[row])
-        seg = bits[lo:hi]
+        seg = distances[lo:hi]
         kth = np.partition(seg, max_neighbors - 1)[max_neighbors - 1]
         keep[lo:hi] = seg <= kth
     return qid[keep], indices[keep], distances[keep]
@@ -153,71 +155,27 @@ def build_ragged(
     ``qid`` / ``indices`` / ``distances`` are parallel arrays of
     (query row, reference id, distance) triples in any order.  The
     pairs are put in canonical order — grouped by query, each row
-    ascending by (distance, index) — and the optional ``max_neighbors``
-    cap keeps each row's first ``max_neighbors`` entries, i.e. its
-    nearest ones.  On large capped batches a pre-cap pass first trims
-    each over-full row to its nearest candidates so the canonical sort
-    never sees the pairs the cap would discard.  Every producer funnels
-    through here so the canonical order has exactly one implementation.
+    ascending by (distance, index) — by
+    :func:`~repro.kdtree.ranking.rank_pairs`, and the optional
+    ``max_neighbors`` cap keeps each row's first ``max_neighbors``
+    entries, i.e. its nearest ones.  On large capped batches a pre-cap
+    pass first trims each over-full row to its nearest candidates so
+    the canonical sort never sees the pairs the cap would discard.
     """
     if max_neighbors is not None and max_neighbors < 1:
         raise ValueError("max_neighbors must be positive")
     qid = np.asarray(qid, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
-    distances = np.ascontiguousarray(distances, dtype=np.float64)
-    metric = not (distances.size and float(distances.min()) < 0.0)
-    if (
-        metric
-        and max_neighbors is not None
-        and qid.size > _PRECAP_PAIRS
-    ):
+    distances = np.asarray(distances, dtype=np.float64)
+    if max_neighbors is not None and qid.size > _PRECAP_PAIRS:
         qid, indices, distances = _precap_rows(
             qid, indices, distances, n_queries, max_neighbors
         )
-    if not metric:
-        # Defensive fallback for non-metric inputs; every in-repo
-        # producer emits non-negative distances and takes the fast path.
-        order = np.lexsort((indices, distances, qid))
-    else:
-        # The canonical 3-key lexsort, decomposed into two integer
-        # stable sorts (several times faster than lexsort's float
-        # merges on multi-million-pair batches): the int64 view of a
-        # non-negative float64 is order-isomorphic to its value, so a
-        # stable sort on the bits orders by distance with exactly the
-        # value-equality tie structure; a stable sort on the row id
-        # then groups rows while preserving that order.
-        bits = distances.view(np.int64)
-        by_dist = np.argsort(bits, kind="stable")
-        order = by_dist[np.argsort(qid[by_dist], kind="stable")]
-    qid = qid[order]
-    indices = indices[order]
-    distances = distances[order]
-    if qid.size > 1:
-        # Ties — equal (row, distance) runs — still carry producer
-        # arrival order; the canonical tie-break is ascending index.
-        # Only `indices` needs repair: qid and the distance are
-        # constant within a run.
-        b = distances.view(np.int64)
-        same = (qid[1:] == qid[:-1]) & (b[1:] == b[:-1])
-        if same.any():
-            run_id = np.zeros(qid.size, dtype=np.int64)
-            np.cumsum(~same, out=run_id[1:])
-            run_sizes = np.bincount(run_id)
-            sub = np.flatnonzero(run_sizes[run_id] > 1)
-            sub_sorted = sub[np.lexsort((indices[sub], run_id[sub]))]
-            repaired = indices.copy()
-            repaired[sub] = indices[sub_sorted]
-            indices = repaired
-    counts = np.bincount(qid, minlength=n_queries).astype(np.int64)
-    if max_neighbors is not None and qid.size:
-        starts = np.zeros(n_queries, dtype=np.int64)
-        np.cumsum(counts[:-1], out=starts[1:])
-        rank = np.arange(qid.size) - np.repeat(starts, counts)
-        keep = rank < max_neighbors
-        qid = qid[keep]
-        indices = indices[keep]
-        distances = distances[keep]
-        counts = np.minimum(counts, max_neighbors)
+    order, counts = rank_pairs(
+        qid, indices, distances, n_queries, max_neighbors
+    )
     offsets = np.zeros(n_queries + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return RaggedResult(indices=indices, distances=distances, offsets=offsets)
+    return RaggedResult(
+        indices=indices[order], distances=distances[order], offsets=offsets
+    )

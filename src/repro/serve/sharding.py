@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kdtree.engine import FlatKdTree, knn_approx_batched, knn_exact_batched
-from repro.kdtree.ranking import PAD_INDEX, merge_topk
+from repro.kdtree.engine import FlatKdTree, knn_budgeted
+from repro.kdtree.ranking import merge_topk
 from repro.kdtree.snapshot import Snapshot
 from repro.registry import Registry
 
@@ -67,22 +67,10 @@ class ShardState:
     def search(
         self, q: np.ndarray, k: int, budget: int | None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Local top-k for a query block, translated to global ids.
-
-        ``budget`` is the serving ladder's engine budget: ``None`` runs
-        the unbounded exact search, ``0`` the single-bucket approximate
-        answer, anything else a ``max_visits``-bounded exact search.
-        """
-        if budget is None:
-            result, _ = knn_exact_batched(self.tree, q, k)
-        elif budget == 0:
-            result = knn_approx_batched(self.tree, q, k)
-        else:
-            result, _ = knn_exact_batched(self.tree, q, k, max_visits=budget)
-        local = result.indices
-        translated = self.global_ids[local]
-        translated[local == PAD_INDEX] = PAD_INDEX
-        return translated, result.distances
+        """Local top-k for a query block, translated to global ids,
+        under the serving ladder's engine ``budget``
+        (:func:`~repro.kdtree.engine.knn_budgeted`)."""
+        return knn_budgeted(self.tree, q, k, budget, self.global_ids)
 
     def search_radius(
         self, q: np.ndarray, radius: float, k: int | None

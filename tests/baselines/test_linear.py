@@ -1,5 +1,7 @@
 """Unit tests for the brute-force kNN reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -44,6 +46,25 @@ class TestCorrectness:
         result = knn_bruteforce(ref, np.array([0.0, 0.0, 0.0]), 3)
         assert result.indices[0, 0] == 0
         assert set(result.indices[0, 1:].tolist()) == {1, 2}
+
+
+class TestMemory:
+    def test_peak_is_scores_plus_partition_copy(self, rng):
+        """The documented peak: one chunk's (chunk, N) float64 scores and
+        the copy ``np.partition`` makes of them, and nothing more of
+        that size."""
+        ref = uniform_cloud(20_000, rng=rng)
+        qry = uniform_cloud(256, rng=rng)
+        chunk = 128
+        knn_bruteforce(ref, qry.xyz[:4], 8)
+        tracemalloc.start()
+        try:
+            knn_bruteforce(ref, qry, 8, chunk_size=chunk)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        scores = chunk * ref.xyz.shape[0] * 8
+        assert peak < 2.05 * scores
 
 
 class TestValidation:

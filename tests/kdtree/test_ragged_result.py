@@ -14,6 +14,7 @@ import pytest
 from repro.datasets.synthetic import uniform_cloud
 from repro.kdtree import KdTreeConfig, Snapshot, build_flat
 from repro.query import RaggedResult, radius_batched
+from repro.query import result as result_module
 from repro.query.result import build_ragged
 
 
@@ -65,6 +66,33 @@ class TestContract:
         np.testing.assert_array_equal(r.distances, [0.5, 1.0, 1.0, 2.0, 2.0])
         capped = build_ragged(qid, idx, dst, 2, max_neighbors=2)
         np.testing.assert_array_equal(capped.indices, [7, 4, 5, 2])
+
+    @pytest.mark.parametrize("cap", [1, 3, 16])
+    @pytest.mark.parametrize("low", [0, -2])
+    def test_precap_matches_lexsort_oracle(self, monkeypatch, cap, low):
+        """The pre-cap pass, forced on a small batch, keeps every row's
+        canonical first ``cap``.  Distances on a coarse grid tie inside
+        a row (straddling the cap) and across rows; they include zero
+        and, with ``low < 0``, negative values."""
+        monkeypatch.setattr(result_module, "_PRECAP_PAIRS", 0)
+        rng = np.random.default_rng(11)
+        n_rows, n_ids = 40, 200
+        pairs = rng.choice(n_rows * n_ids, size=2_000, replace=False)
+        qid = np.r_[pairs // n_ids, 40, 40]
+        idx = np.r_[pairs % n_ids, 7, 3]
+        dst = np.r_[rng.integers(low, 6, pairs.size) * 0.25, 0.5, 0.5]
+        n_queries = 44  # row 40 is under the cap for cap > 2; 41-43 empty
+        r = build_ragged(qid, idx, dst, n_queries, max_neighbors=cap)
+        want_i, want_d, counts = [], [], []
+        for row in range(n_queries):
+            sel = np.flatnonzero(qid == row)
+            sel = sel[np.lexsort((idx[sel], dst[sel]))][:cap]
+            want_i.append(idx[sel])
+            want_d.append(dst[sel])
+            counts.append(sel.size)
+        np.testing.assert_array_equal(r.counts(), counts)
+        np.testing.assert_array_equal(r.indices, np.concatenate(want_i))
+        np.testing.assert_array_equal(r.distances, np.concatenate(want_d))
 
 
 class TestSerialization:
