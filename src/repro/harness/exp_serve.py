@@ -52,10 +52,7 @@ def serve_fleet(
         queries_per_frame=queries_per_frame,
         seed=seed,
         distinct_drives=min(4, n_tenants),
-        session=SessionConfig(
-            serve=ServeConfig(max_delay_s=0.0),
-            max_resident=max_resident,
-        ),
+        session=SessionConfig(max_resident=max_resident),
     )
     with use_registry(MetricsRegistry()):
         report = run_fleet(config)

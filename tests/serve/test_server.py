@@ -265,6 +265,47 @@ class TestDegradation:
         assert {r.budget for r in responses} == {4}  # halved from 8
 
 
+class TestWorkConservingBatches:
+    def test_rows_coalesce_while_the_replica_is_busy(self, cloud):
+        # Hold the single replica inside a first request; a burst that
+        # arrives meanwhile must stay queued past max_delay_s and then
+        # run as one batch once the replica frees.
+        ref, queries = cloud
+        flat, _ = build_flat(ref)
+        truth, _ = knn_exact_batched(flat, queries[:36], 4)
+        server = KnnServer(ref, ServeConfig())
+        original = server._shards[0].tree
+        entered, gate = threading.Event(), threading.Event()
+
+        class GatedTree:
+            def __getattr__(self, name):
+                return getattr(original, name)
+
+            def flat(self):
+                entered.set()
+                gate.wait(timeout=10)
+                return original.flat()
+
+        object.__setattr__(server._shards[0], "tree", GatedTree())
+        try:
+            blocker = server.submit(queries[:4], 4)
+            assert entered.wait(timeout=5)
+            burst = [server.submit(queries[i:i + 4], 4) for i in range(4, 36, 4)]
+            time.sleep(0.05)  # far past max_delay_s
+            stats = server.stats()
+            assert stats["queue_rows"] == 32
+            batches = stats["counters"]["serve.batches"]
+            gate.set()
+            responses = [f.result(timeout=10) for f in [blocker] + burst]
+            assert server.stats()["counters"]["serve.batches"] == batches + 1
+        finally:
+            gate.set()
+            server.close()
+        for i, response in zip(range(0, 36, 4), responses):
+            assert np.array_equal(response.indices, truth.indices[i:i + 4])
+            assert np.array_equal(response.distances, truth.distances[i:i + 4])
+
+
 class TestTimeout:
     def test_queued_request_times_out_promptly(self, cloud):
         ref, queries = cloud
