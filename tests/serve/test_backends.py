@@ -23,6 +23,7 @@ from repro.serve import (
     ExecutionConfig,
     KnnServer,
     ServeConfig,
+    WorkerError,
     available_backends,
 )
 
@@ -156,6 +157,65 @@ class TestProcessLifecycle:
                 time.sleep(0.05)
             assert not _has_generation(prefix, 0)
             assert _has_generation(prefix, 1)
+        assert not _segments(prefix)
+
+    def test_handoff_mid_dispatch_strands_no_job(self, cloud):
+        # One batch, two jobs (k=4 and k=5).  A warm handoff lands while
+        # the dispatcher sends the first, and the first drains before the
+        # second is sent.  Generation 0 must outlive the second job, or
+        # that job never runs and the idle signal counts it in flight.
+        ref, queries = cloud
+        ref2 = uniform_cloud(2_500, rng=np.random.default_rng(11)).xyz
+        prefix = _unique_prefix()
+        config = _process_config(prefix, n_shards=1, max_delay_s=0.2)
+        with KnnServer(ref, config) as server:
+            backend = server._backend
+            send = backend.submit
+            sent = []
+
+            def submit(job, slot):
+                send(job, slot)
+                if not sent:
+                    sent.append(job)
+                    server.update_reference(ref2)
+                    for request in job.requests:
+                        request.future.result(timeout=60)
+
+            backend.submit = submit
+            first = server.submit(queries[:4], 4)
+            second = server.submit(queries[4:8], 5)
+            answers = [first.result(timeout=30), second.result(timeout=30)]
+            del backend.submit
+            assert server.stats()["counters"]["serve.batches"] == 1
+            assert [a.generation for a in answers] == [0, 0]
+            assert server.stats()["inflight_jobs"] == 0
+            later = server.query(queries[8:9], 4, timeout=30)
+            assert later.generation == 1
+            with KnnServer(ref, ServeConfig()) as fresh:
+                expected = [fresh.query(queries[:4], 4),
+                            fresh.query(queries[4:8], 5)]
+            with KnnServer(ref2, ServeConfig()) as fresh:
+                expected.append(fresh.query(queries[8:9], 4))
+        for got, want in zip(answers + [later], expected):
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.distances, want.distances)
+        assert not _segments(prefix)
+
+    def test_task_for_a_retired_generation_fails_and_drains(self, cloud):
+        # Should a task ever name a retired generation, it fails through
+        # the retry path as a typed error instead of vanishing while its
+        # job counts as in flight.
+        ref, queries = cloud
+        prefix = _unique_prefix()
+        with KnnServer(ref, _process_config(prefix, n_shards=1)) as server:
+            server._backend.retire(0)
+            with pytest.raises(WorkerError, match="retired"):
+                server.query(queries[:1], 4, timeout=30)
+            assert server.stats()["inflight_jobs"] == 0
+            server.update_reference(ref)
+            later = server.query(queries[:1], 4, timeout=30)
+        assert later.generation == 1
+        assert later.indices.shape == (1, 4)
         assert not _segments(prefix)
 
     def test_close_reaps_processes_and_segments(self, cloud):
